@@ -43,11 +43,13 @@ struct ResolvedPattern {
   Slot s, p, o;
 };
 
-/// Resolves pattern positions against the dictionary and the bound row.
-/// Returns false if a constant is not in the dictionary (zero results).
+/// Resolves pattern positions against the dictionary (then the term overlay
+/// below `overlay_limit`, if any) and the bound row. Returns false if a
+/// constant resolves to nothing (zero results).
 bool Resolve(const std::vector<TriplePattern>& bgp, const VarRegistry& vars,
              const Row& bound, const rdf::Dictionary& dict,
-             std::vector<ResolvedPattern>* out) {
+             std::vector<ResolvedPattern>* out,
+             const sparql::LocalVocab* overlay = nullptr, TermId overlay_limit = 0) {
   auto slot = [&](const PatternTerm& pt, Slot* s) {
     if (pt.is_var()) {
       int vi = *vars.Find(pt.var);
@@ -59,6 +61,10 @@ bool Resolve(const std::vector<TriplePattern>& bgp, const VarRegistry& vars,
       return true;
     }
     auto t = dict.Find(pt.term);
+    if (!t && overlay) {
+      t = overlay->FindId(pt.term);
+      if (t && *t >= overlay_limit) return false;
+    }
     if (!t) return false;
     s->term = *t;
     return true;
@@ -231,7 +237,9 @@ util::Status IndexJoinBgpSolver::Evaluate(
     const std::vector<const sparql::FilterExpr*>& /*pushable: executor re-checks*/,
     const RowSink& emit, const EvalControl& control) const {
   std::vector<ResolvedPattern> patterns;
-  if (!Resolve(bgp, vars, bound, dict_, &patterns)) return util::Status::Ok();
+  if (!Resolve(bgp, vars, bound, dict_, &patterns, delta_.overlay.get(),
+               delta_.overlay_limit))
+    return util::Status::Ok();
   if (patterns.empty()) {
     Row seed = bound;
     seed.resize(vars.size(), kInvalidId);
@@ -248,10 +256,17 @@ util::Status IndexJoinBgpSolver::Evaluate(
   for (size_t i = 0; i < bound.size(); ++i)
     if (bound[i] != kInvalidId) var_bound[i] = true;
 
+  const TripleIndex* adds = delta_.adds.get();
+  const TombstoneSet* tombs = delta_.tombstones && !delta_.tombstones->empty()
+                                  ? delta_.tombstones.get()
+                                  : nullptr;
+
+  // Tombstones make this an overestimate for base ranges; fine for ordering.
   auto estimate = [&](const ResolvedPattern& rp) {
-    return index_.Count(rp.s.is_var() ? kInvalidId : rp.s.term,
-                        rp.p.is_var() ? kInvalidId : rp.p.term,
-                        rp.o.is_var() ? kInvalidId : rp.o.term);
+    TermId s = rp.s.is_var() ? kInvalidId : rp.s.term;
+    TermId p = rp.p.is_var() ? kInvalidId : rp.p.term;
+    TermId o = rp.o.is_var() ? kInvalidId : rp.o.term;
+    return index_.Count(s, p, o) + (adds ? adds->Count(s, p, o) : 0);
   };
   auto connected = [&](const ResolvedPattern& rp) {
     for (const Slot* s : {&rp.s, &rp.p, &rp.o})
@@ -284,6 +299,7 @@ util::Status IndexJoinBgpSolver::Evaluate(
 
   // Depth-first index nested-loop join; a kStop from the sink (or a tripped
   // control signal, surfaced via `abort_status`) unwinds the whole probe.
+  // Each probe scans the base range (minus tombstones), then the delta's.
   util::Status abort_status;
   std::function<EmitResult(size_t)> probe = [&](size_t depth) -> EmitResult {
     if (depth == order.size()) return emit(row);
@@ -292,8 +308,8 @@ util::Status IndexJoinBgpSolver::Evaluate(
       if (!s.is_var()) return s.term;
       return row[s.var];  // kInvalidId if still free
     };
-    auto span = index_.Lookup(value_of(rp.s), value_of(rp.p), value_of(rp.o));
-    for (const rdf::Triple& t : span) {
+    const TermId s = value_of(rp.s), p = value_of(rp.p), o = value_of(rp.o);
+    auto visit = [&](const rdf::Triple& t) {
       if (auto st = ticker.Tick(); !st.ok()) {
         abort_status = st;
         return EmitResult::kStop;
@@ -305,7 +321,15 @@ util::Status IndexJoinBgpSolver::Evaluate(
         er = probe(depth + 1);
       }
       for (int v : newly) row[v] = kInvalidId;
-      if (er == EmitResult::kStop) return EmitResult::kStop;
+      return er;
+    };
+    for (const rdf::Triple& t : index_.Lookup(s, p, o)) {
+      if (tombs && tombs->count(t)) continue;
+      if (visit(t) == EmitResult::kStop) return EmitResult::kStop;
+    }
+    if (adds) {
+      for (const rdf::Triple& t : adds->Lookup(s, p, o))
+        if (visit(t) == EmitResult::kStop) return EmitResult::kStop;
     }
     return EmitResult::kContinue;
   };

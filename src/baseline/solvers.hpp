@@ -10,14 +10,21 @@
 //  * IndexJoinBgpSolver — "System-X" stand-in: selectivity-ordered index
 //    nested-loop join, probing one pattern at a time. Nearly constant on
 //    point queries, expensive when intermediate results are large (the
-//    paper's Q2/Q9 observations).
+//    paper's Q2/Q9 observations). Given an EpochDelta it also serves the
+//    live store's reads: each probe scans the base range minus tombstones,
+//    then the delta's added triples (RDF-3X differential indexing), and
+//    constants missing from the dictionary resolve through the term
+//    overlay. Without a delta it is the plain baseline.
 //
 // Both operate directly on the dictionary-encoded triples (rdf:type is an
 // ordinary predicate to them), so they must be given the inference-closed
 // dataset — the same data every engine loads in the paper's setup.
 #pragma once
 
+#include <memory>
+
 #include "baseline/triple_index.hpp"
+#include "sparql/local_vocab.hpp"
 #include "sparql/solver.hpp"
 
 namespace turbo::baseline {
@@ -40,10 +47,23 @@ class SortMergeBgpSolver : public sparql::BgpSolver {
   const rdf::Dictionary& dict_;
 };
 
+/// A live-store epoch's changes over a base index. The added and base triple
+/// sets are disjoint (the store never adds a base triple), so scans need no
+/// dedup. Overlay ids in [dict.size(), overlay_limit) are this epoch's
+/// update-introduced terms; ids at or above the limit belong to later epochs
+/// and resolve to nothing.
+struct EpochDelta {
+  std::shared_ptr<const TripleIndex> adds;
+  std::shared_ptr<const TombstoneSet> tombstones;
+  std::shared_ptr<const sparql::LocalVocab> overlay;
+  TermId overlay_limit = 0;
+};
+
 class IndexJoinBgpSolver : public sparql::BgpSolver {
  public:
-  IndexJoinBgpSolver(const TripleIndex& index, const rdf::Dictionary& dict)
-      : index_(index), dict_(dict) {}
+  IndexJoinBgpSolver(const TripleIndex& index, const rdf::Dictionary& dict,
+                     EpochDelta delta = {})
+      : index_(index), dict_(dict), delta_(std::move(delta)) {}
 
   util::Status Evaluate(const std::vector<sparql::TriplePattern>& bgp,
                         const sparql::VarRegistry& vars, const sparql::Row& bound,
@@ -56,6 +76,7 @@ class IndexJoinBgpSolver : public sparql::BgpSolver {
  private:
   const TripleIndex& index_;
   const rdf::Dictionary& dict_;
+  EpochDelta delta_;
 };
 
 }  // namespace turbo::baseline

@@ -7,12 +7,16 @@
 
 #include <array>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "rdf/dataset.hpp"
 #include "util/common.hpp"
 
 namespace turbo::baseline {
+
+/// Base triples retracted by a live-store epoch; scans skip them.
+using TombstoneSet = std::unordered_set<rdf::Triple, rdf::TripleHash>;
 
 class TripleIndex {
  public:
@@ -32,6 +36,8 @@ class TripleIndex {
   uint64_t Count(TermId s, TermId p, TermId o) const { return Lookup(s, p, o).size(); }
 
   size_t size() const { return spo_.size(); }
+  /// Every indexed triple, in (s, p, o) order.
+  std::span<const rdf::Triple> triples() const { return spo_; }
 
  private:
   // Permutations named by sort order; each stores full triples.

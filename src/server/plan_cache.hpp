@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <string>
@@ -51,58 +50,32 @@ class PlanCache {
   /// Returns the cached plan for `text` or prepares (and caches) it.
   /// Prepare failures are returned but never cached — a malformed query must
   /// not pin an error entry, and retrying after a fix must re-plan.
+  ///
+  /// The key is the query text alone: a plan holds no term ids (Open
+  /// resolves constants against whatever it executes over), so one entry
+  /// serves every engine and every epoch of a live store — including the
+  /// epochs after a compaction re-ranks ids.
   Lookup Get(const sparql::QueryEngine& engine, const std::string& text) {
-    return Get([&engine](const std::string& t) { return engine.Prepare(t); }, text, 0);
-  }
-
-  /// Epoch-aware form for a live store: an entry planned at an older epoch
-  /// is revalidated (re-prepared against the current epoch and replaced)
-  /// instead of served — counted in revalidations(), not hits. Plans are
-  /// AST-only today, so revalidation always yields an equivalent plan; the
-  /// mechanism is what keeps that an implementation detail rather than a
-  /// caching contract.
-  Lookup Get(
-      const std::function<util::Result<sparql::PreparedQuery>(const std::string&)>&
-          prepare,
-      const std::string& text, uint64_t epoch) {
     std::string key = NormalizeQueryText(text);
-    bool stale = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = index_.find(key);
       if (it != index_.end()) {
-        if (it->second->epoch == epoch) {
-          lru_.splice(lru_.begin(), lru_, it->second);
-          ++hits_;
-          return {it->second->plan, true};
-        }
-        stale = true;
-        ++revalidations_;
-      } else {
-        ++misses_;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        ++hits_;
+        return {it->second->plan, true};
       }
+      ++misses_;
     }
-    util::Result<sparql::PreparedQuery> plan = prepare(text);
-    if (!plan.ok()) {
-      if (stale) {
-        // The stale entry must not be served to anyone else either.
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = index_.find(key);
-        if (it != index_.end() && it->second->epoch != epoch) {
-          lru_.erase(it->second);
-          index_.erase(it);
-        }
-      }
-      return {std::move(plan), false};
-    }
+    util::Result<sparql::PreparedQuery> plan = engine.Prepare(text);
+    if (!plan.ok()) return {std::move(plan), false};
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
       it->second->plan = plan.value();
-      it->second->epoch = epoch;
       lru_.splice(lru_.begin(), lru_, it->second);
     } else {
-      lru_.push_front(Entry{key, plan.value(), epoch});
+      lru_.push_front(Entry{key, plan.value()});
       index_[key] = lru_.begin();
       if (lru_.size() > capacity_) {
         index_.erase(lru_.back().key);
@@ -120,11 +93,6 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(mu_);
     return misses_;
   }
-  /// Stale-epoch entries re-prepared in place (live-store servers only).
-  uint64_t revalidations() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return revalidations_;
-  }
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return lru_.size();
@@ -134,7 +102,6 @@ class PlanCache {
   struct Entry {
     std::string key;
     sparql::PreparedQuery plan;
-    uint64_t epoch = 0;
   };
 
   const size_t capacity_;
@@ -143,7 +110,6 @@ class PlanCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t revalidations_ = 0;
 };
 
 }  // namespace turbo::server

@@ -49,12 +49,20 @@ class ConnQueue {
   int Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     ++idle_;
+    parked_.notify_all();
     ready_.wait(lock, [this] { return closed_ || !fds_.empty(); });
     --idle_;
     if (fds_.empty()) return -1;
     int fd = fds_.front();
     fds_.pop_front();
     return fd;
+  }
+
+  /// Blocks until `n` workers are parked in Pop. Until a worker parks, its
+  /// slot does not count toward admission.
+  void WaitIdle(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_.wait(lock, [&] { return idle_ >= n; });
   }
 
   /// Closes the queue and returns any connections nobody will serve.
@@ -71,6 +79,7 @@ class ConnQueue {
   const size_t cap_;
   std::mutex mu_;
   std::condition_variable ready_;
+  std::condition_variable parked_;  ///< signalled whenever idle_ grows
   std::deque<int> fds_;
   size_t idle_ = 0;  ///< workers parked in Pop, ready to take a connection
   bool closed_ = false;
@@ -188,7 +197,6 @@ struct SparqlServer::Impl {
           ",\"bad_requests\":" + std::to_string(s.bad_requests) +
           ",\"plan_cache\":{\"hits\":" + std::to_string(s.plan_cache_hits) +
           ",\"misses\":" + std::to_string(s.plan_cache_misses) +
-          ",\"revalidations\":" + std::to_string(s.plan_cache_revalidations) +
           ",\"size\":" + std::to_string(plan_cache.size()) + "}";
       if (store) {
         store::LiveStore::Stats ls = store->stats();
@@ -284,10 +292,15 @@ struct SparqlServer::Impl {
         ParseU64(!req.param("budget").empty() ? req.param("budget")
                                               : req.header("x-row-budget"),
                  sparql::kNoBudget));
+    // The deadline is the tighter of the request's and the server's; a
+    // request's 0 names none, so it can never loosen or lift the server's.
     uint64_t timeout_ms =
         ParseU64(!req.param("timeout-ms").empty() ? req.param("timeout-ms")
                                                   : req.header("x-timeout-ms"),
-                 config.default_timeout_ms);
+                 0);
+    if (config.default_timeout_ms > 0 &&
+        (timeout_ms == 0 || timeout_ms > config.default_timeout_ms))
+      timeout_ms = config.default_timeout_ms;
     if (timeout_ms > 0)
       opts.deadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
@@ -303,18 +316,15 @@ struct SparqlServer::Impl {
                             keep_alive);
     }
 
-    // A live store pins one epoch snapshot for the whole request: the plan
-    // is (re)validated against it, the cursor executes over it, and rows
-    // format against its dictionary — all consistent with the X-Epoch the
-    // response reports, regardless of concurrent updates.
+    // A live store pins one epoch snapshot for the whole request: the
+    // cursor executes over it and rows format against its dictionary — both
+    // consistent with the X-Epoch the response reports, regardless of
+    // concurrent updates. Cached plans hold no term ids, so any epoch's
+    // plan serves this one.
     std::shared_ptr<const store::LiveStore::Snapshot> snap;
     if (store) snap = store->snapshot();
 
-    PlanCache::Lookup looked =
-        snap ? plan_cache.Get(
-                   [&snap](const std::string& t) { return snap->engine->Prepare(t); },
-                   query, snap->epoch)
-             : plan_cache.Get(*engine, query);
+    PlanCache::Lookup looked = plan_cache.Get(snap ? *snap->engine : *engine, query);
     const char* cache_state = looked.hit ? "hit" : "miss";
     std::map<std::string, std::string> headers{{"X-Plan-Cache", cache_state}};
     if (snap) headers["X-Epoch"] = std::to_string(snap->epoch);
@@ -410,7 +420,6 @@ struct SparqlServer::Impl {
     s.bad_requests = bad_requests.load(std::memory_order_relaxed);
     s.plan_cache_hits = plan_cache.hits();
     s.plan_cache_misses = plan_cache.misses();
-    s.plan_cache_revalidations = plan_cache.revalidations();
     s.updates = updates.load(std::memory_order_relaxed);
     s.in_flight = in_flight.load(std::memory_order_relaxed);
     return s;
@@ -453,6 +462,10 @@ util::Status SparqlServer::Start() {
   s.workers.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i)
     s.workers.emplace_back([this] { impl_->WorkerLoop(); });
+  // Accept only once the whole pool is parked: otherwise a connection that
+  // arrives before a worker first reaches Pop is refused with a 503 even
+  // though the pool is idle.
+  s.queue.WaitIdle(static_cast<size_t>(workers));
   s.acceptor = std::thread([this] { impl_->AcceptLoop(); });
   s.started = true;
   return util::Status::Ok();

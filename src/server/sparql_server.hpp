@@ -13,20 +13,22 @@
 //                                 application/sparql-update body; requires
 //                                 the live-store constructor (403 otherwise)
 //   GET  /stats                 — JSON counters (requests, overload 503s,
-//                                 plan-cache hits/misses/revalidations,
-//                                 in-flight gauge; live stores add epoch /
-//                                 delta / compaction counters)
+//                                 plan-cache hits/misses/size, in-flight
+//                                 gauge; live stores add epoch / delta /
+//                                 compaction counters)
 //
 // When built over a live store, every /sparql response carries an X-Epoch
 // header naming the epoch the request pinned: rows are consistent with
-// exactly that epoch regardless of concurrent updates, and cached plans are
-// revalidated against it before use.
+// exactly that epoch regardless of concurrent updates. The plan cache is
+// keyed on query text alone — plans hold no term ids — so updates and
+// compactions never invalidate it.
 //
 // Per-request execution controls (query parameters, with X- header
 // equivalents): `limit` (delivered-row cap), `budget` / X-Row-Budget
 // (pre-modifier row budget), `timeout-ms` / X-Timeout-Ms (deadline),
 // `capacity` / X-Channel-Capacity (streaming channel), `format` = json|tsv
-// (or Accept: text/tab-separated-values). Results stream with chunked
+// (or Accept: text/tab-separated-values). A request may tighten the
+// server's row budget and deadline, never loosen them. Results stream with chunked
 // transfer encoding, one fragment per delivered row, so time-to-first-byte
 // tracks the cursor's first Next — not query completion.
 //
@@ -66,7 +68,7 @@ struct ServerConfig {
   int queue_depth = 16;  ///< accepted connections awaiting a free worker
   size_t plan_cache_capacity = 64;
   /// Server-wide defaults, applied when a request names no tighter value.
-  uint64_t default_timeout_ms = 0;  ///< 0 = no deadline
+  uint64_t default_timeout_ms = 0;  ///< deadline cap; 0 = none
   uint64_t max_row_budget = sparql::kNoBudget;
   uint32_t default_channel_capacity = 64;
 };
@@ -77,7 +79,9 @@ struct ServerStats {
   uint64_t bad_requests = 0;       ///< 400s (malformed HTTP or query)
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_revalidations = 0;  ///< stale-epoch plans re-prepared
+  /// Always 0: plans are keyed on query text alone and never go stale.
+  /// e2ebench still reports it as server.plan_revalidations.
+  uint64_t plan_cache_revalidations = 0;
   uint64_t updates = 0;                   ///< /update requests applied
   uint32_t in_flight = 0;  ///< requests being served right now
 };

@@ -1,6 +1,5 @@
 #include "store/live_store.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -23,8 +22,8 @@ LiveStore::LiveStore(rdf::Dataset dataset, Config config,
       std::make_shared<sparql::LocalVocab>(static_cast<TermId>(engine->dict().size()));
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = 0;
-  snap->overlay = overlay_;
-  snap->overlay_limit = static_cast<TermId>(engine->dict().size());
+  snap->delta.overlay = overlay_;
+  snap->delta.overlay_limit = static_cast<TermId>(engine->dict().size());
   snap->engine = std::move(engine);
   snap_ = std::move(snap);
   if (cfg_.compact_threshold > 0) {
@@ -74,8 +73,8 @@ util::Result<sparql::Cursor> LiveStore::OpenAt(std::shared_ptr<const Snapshot> s
   // The cursor's vocab chains to the epoch's overlay: update-introduced term
   // ids resolve like stored ones, cursor-computed values intern above
   // overlay_limit, and VALUES/BIND constants join against overlay terms.
-  opts.vocab =
-      std::make_shared<sparql::LocalVocab>(snap->overlay_limit, snap->overlay);
+  opts.vocab = std::make_shared<sparql::LocalVocab>(snap->delta.overlay_limit,
+                                                    snap->delta.overlay);
   const sparql::BgpSolver& solver = snap->solver();
   opts.pin = std::move(snap);  // cursor keeps the whole epoch alive
   return sparql::OpenCursor(solver, prepared, opts);
@@ -97,9 +96,11 @@ util::Result<LiveStore::UpdateResult> LiveStore::Apply(
     return !base_index_->Lookup(t.s, t.p, t.o).empty();
   };
 
-  std::vector<rdf::Triple> adds = cur->adds ? *cur->adds : std::vector<rdf::Triple>{};
-  TombstoneSet tombs = cur->tombstones ? *cur->tombstones : TombstoneSet{};
-  std::unordered_set<rdf::Triple, rdf::TripleHash> adds_set(adds.begin(), adds.end());
+  std::unordered_set<rdf::Triple, rdf::TripleHash> adds;
+  if (cur->delta.adds)
+    adds.insert(cur->delta.adds->triples().begin(), cur->delta.adds->triples().end());
+  baseline::TombstoneSet tombs =
+      cur->delta.tombstones ? *cur->delta.tombstones : baseline::TombstoneSet{};
 
   size_t inserted = 0, deleted = 0;
 
@@ -118,8 +119,7 @@ util::Result<LiveStore::UpdateResult> LiveStore::Apply(
     }
     if (!known) continue;
     rdf::Triple t{ids[0], ids[1], ids[2]};
-    if (adds_set.erase(t) > 0) {
-      adds.erase(std::remove(adds.begin(), adds.end(), t), adds.end());
+    if (adds.erase(t) > 0) {
       ++deleted;
       continue;
     }
@@ -141,26 +141,22 @@ util::Result<LiveStore::UpdateResult> LiveStore::Apply(
       continue;
     }
     if (base_has(t)) continue;  // already present
-    if (adds_set.insert(t).second) {
-      adds.push_back(t);
-      ++inserted;
-    }
+    if (adds.insert(t).second) ++inserted;
   }
 
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = cur->epoch + 1;
   snap->engine = cur->engine;
-  snap->overlay = overlay_;
-  snap->overlay_limit = static_cast<TermId>(dict.size() + overlay_->size());
+  snap->delta.overlay = overlay_;
+  snap->delta.overlay_limit = static_cast<TermId>(dict.size() + overlay_->size());
   if (!adds.empty() || !tombs.empty()) {
     snap->base_index = base_index_;
-    snap->adds = std::make_shared<const std::vector<rdf::Triple>>(std::move(adds));
-    snap->tombstones = std::make_shared<const TombstoneSet>(std::move(tombs));
-    snap->delta_index = std::make_shared<const baseline::TripleIndex>(
-        std::vector<rdf::Triple>(*snap->adds));
-    snap->overlay_solver = std::make_shared<const DeltaOverlaySolver>(
-        dict, snap->base_index, snap->delta_index, snap->tombstones, snap->overlay,
-        snap->overlay_limit);
+    snap->delta.adds = std::make_shared<const baseline::TripleIndex>(
+        std::vector<rdf::Triple>(adds.begin(), adds.end()));
+    snap->delta.tombstones =
+        std::make_shared<const baseline::TombstoneSet>(std::move(tombs));
+    snap->overlay_solver = std::make_shared<const baseline::IndexJoinBgpSolver>(
+        *snap->base_index, dict, snap->delta);
   }
   UpdateResult result{snap->epoch, inserted, deleted, snap->delta_adds(),
                       snap->tombstone_count()};
@@ -208,8 +204,9 @@ util::Status LiveStore::CompactLocked() {
     merged.dict().GetOrAdd(*t);
   }
 
-  static const TombstoneSet kNoTombs;
-  const TombstoneSet& tombs = cur->tombstones ? *cur->tombstones : kNoTombs;
+  static const baseline::TombstoneSet kNoTombs;
+  const baseline::TombstoneSet& tombs =
+      cur->delta.tombstones ? *cur->delta.tombstones : kNoTombs;
 
   std::vector<rdf::Triple> originals;
   originals.reserve(old->num_original() + cur->delta_adds());
@@ -217,7 +214,9 @@ util::Status LiveStore::CompactLocked() {
     const rdf::Triple& t = old->triples()[i];
     if (tombs.count(t) == 0) originals.push_back(t);
   }
-  if (cur->adds) originals.insert(originals.end(), cur->adds->begin(), cur->adds->end());
+  if (cur->delta.adds)
+    originals.insert(originals.end(), cur->delta.adds->triples().begin(),
+                     cur->delta.adds->triples().end());
   if (auto st = merged.AppendOriginal(originals); !st.ok()) return st;
 
   if (cfg_.reinfer_on_compact) {
@@ -239,8 +238,8 @@ util::Status LiveStore::CompactLocked() {
   // low-id band instead of accreting at the tail forever. Pinned-epoch
   // readers stay byte-stable — they hold the previous snapshot and its
   // engine, whose ids never move; only the *next* epoch sees the new ids,
-  // and its engine, overlay limit, and plan-cache entries are all rebuilt
-  // below.
+  // and its engine and overlay limit are rebuilt below. Prepared plans hold
+  // no ids, so they carry over unchanged.
   rdf::RerankDatasetByFrequency(&merged);
 
   auto engine =
@@ -251,8 +250,8 @@ util::Status LiveStore::CompactLocked() {
 
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = cur->epoch + 1;
-  snap->overlay = overlay_;
-  snap->overlay_limit = static_cast<TermId>(engine->dict().size());
+  snap->delta.overlay = overlay_;
+  snap->delta.overlay_limit = static_cast<TermId>(engine->dict().size());
   snap->engine = std::move(engine);
   Publish(std::move(snap));
   compactions_.fetch_add(1, std::memory_order_relaxed);
@@ -279,7 +278,7 @@ LiveStore::Stats LiveStore::stats() const {
   s.compactions = compactions_.load(std::memory_order_relaxed);
   s.delta_adds = snap->delta_adds();
   s.tombstones = snap->tombstone_count();
-  s.overlay_terms = snap->overlay ? snap->overlay->size() : 0;
+  s.overlay_terms = snap->delta.overlay ? snap->delta.overlay->size() : 0;
   s.base_triples = snap->engine->dataset()->size();
   return s;
 }

@@ -7,18 +7,21 @@
 //   * The *base* is a fully built QueryEngine over a compacted Dataset:
 //     dictionary, inference closure, transformed graph / triple index. It is
 //     immutable for its whole lifetime.
-//   * Updates accumulate in a *delta*: an append-side triple list (with its
-//     own six-permutation TripleIndex, rebuilt per batch — the delta is
-//     small by construction) plus a *tombstone* set of deleted base triples.
-//     Terms the base dictionary lacks intern into a shared *overlay*
-//     (a LocalVocab whose ids start at dict.size()), so update-introduced
-//     terms flow through the id-based Row pipeline like stored ones.
+//   * Updates accumulate in a *delta*: the added triples (in their own
+//     six-permutation TripleIndex, rebuilt per batch — the delta is small by
+//     construction) plus a *tombstone* set of deleted base triples. Terms
+//     the base dictionary lacks intern into a shared *overlay* (a LocalVocab
+//     whose ids start at dict.size()), so update-introduced terms flow
+//     through the id-based Row pipeline like stored ones. While the delta is
+//     non-empty, reads run on baseline::IndexJoinBgpSolver over the base
+//     index plus this delta; an empty delta reads through the engine's own
+//     solver.
 //   * Every applied batch publishes a new immutable Snapshot under a mutex
 //     (epoch N+1). Readers pin the current snapshot at Open(): the cursor
 //     holds shared_ptr ownership of everything the execution touches
-//     (engine, delta index, tombstones, overlay), so a cursor opened before
-//     an update keeps streaming epoch-N rows byte-for-byte unchanged while
-//     epoch N+1 serves new cursors. No reader ever takes the write lock.
+//     (engine, base and delta indexes, tombstones, overlay), so a cursor
+//     opened before an update keeps streaming epoch-N rows byte-for-byte
+//     unchanged while epoch N+1 serves new cursors. No reader ever takes the write lock.
 //   * Compaction folds the delta into a fresh Dataset (base minus tombstones
 //     plus adds, overlay terms re-interned in id order so triple ids carry
 //     over verbatim), rebuilds the engine, and publishes an empty-delta
@@ -43,9 +46,9 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/solvers.hpp"
 #include "rdf/reasoner.hpp"
 #include "sparql/query_engine.hpp"
-#include "store/delta_solver.hpp"
 
 namespace turbo::store {
 
@@ -67,24 +70,23 @@ class LiveStore {
   struct Snapshot {
     uint64_t epoch = 0;
     std::shared_ptr<const sparql::QueryEngine> engine;
-    /// Base triple index for delta-overlay scans; null while the delta is
+    /// Base triple index the overlay solver probes; null while the delta is
     /// empty (built lazily at the first update after a compaction).
     std::shared_ptr<const baseline::TripleIndex> base_index;
-    std::shared_ptr<const std::vector<rdf::Triple>> adds;
-    std::shared_ptr<const TombstoneSet> tombstones;
-    std::shared_ptr<const baseline::TripleIndex> delta_index;
-    /// Shared term overlay; ids in [engine->dict().size(), overlay_limit)
-    /// are visible to this epoch.
-    std::shared_ptr<const sparql::LocalVocab> overlay;
-    TermId overlay_limit = 0;
-    /// Non-null iff the delta is non-empty: the solver serving this epoch's
-    /// BGPs (base minus tombstones, union delta). Null means the engine's
-    /// native solver serves reads with zero overlay overhead.
-    std::shared_ptr<const DeltaOverlaySolver> overlay_solver;
+    /// This epoch's adds, tombstones and term overlay. The overlay is always
+    /// set: ids in [engine->dict().size(), delta.overlay_limit) are visible
+    /// to this epoch. Adds and tombstones are null while the delta is empty.
+    baseline::EpochDelta delta;
+    /// Non-null iff the delta is non-empty: the index nested-loop join over
+    /// base minus tombstones, union adds, serving this epoch's BGPs. Null
+    /// means the engine's native solver serves reads with zero overhead.
+    std::shared_ptr<const baseline::IndexJoinBgpSolver> overlay_solver;
 
     bool has_delta() const { return overlay_solver != nullptr; }
-    size_t delta_adds() const { return adds ? adds->size() : 0; }
-    size_t tombstone_count() const { return tombstones ? tombstones->size() : 0; }
+    size_t delta_adds() const { return delta.adds ? delta.adds->size() : 0; }
+    size_t tombstone_count() const {
+      return delta.tombstones ? delta.tombstones->size() : 0;
+    }
     const rdf::Dictionary& dict() const { return engine->dict(); }
     const sparql::BgpSolver& solver() const {
       return has_delta() ? static_cast<const sparql::BgpSolver&>(*overlay_solver)
@@ -126,9 +128,9 @@ class LiveStore {
 
   // ---- Read side (thread-safe, never blocks on writers). ----
 
-  /// Parse + plan once. Plans depend only on the query text (never the
-  /// dictionary), so a PreparedQuery stays valid across epochs; Open
-  /// resolves constants against the epoch it pins.
+  /// Parse + plan once. Plans hold no term ids (constants stay terms until
+  /// Open resolves them against the epoch it pins), so a PreparedQuery stays
+  /// valid across updates and across compactions that re-rank every id.
   util::Result<sparql::PreparedQuery> Prepare(const std::string& text) const;
 
   /// Pins the current snapshot and opens a cursor over it. The cursor holds

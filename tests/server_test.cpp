@@ -3,7 +3,10 @@
 //  * protocol: JSON/TSV result encoding matches Executor::Execute row for
 //    row; X-Plan-Cache miss-then-hit with identical rows; malformed queries
 //    get a 400 whose body carries the parse error; per-request deadline maps
-//    to 408 before the first row and an in-body stop marker after it;
+//    to 408 before the first row and an in-body stop marker after it, and a
+//    request can tighten the server's deadline but never lift or loosen it;
+//  * live store: a cached plan keeps hitting across POST /update and
+//    answers with the updated rows;
 //  * admission control: a saturated worker pool answers 503 immediately and
 //    recovers once the pool drains;
 //  * teardown: a client that disconnects mid-stream abandons the cursor and
@@ -31,6 +34,7 @@
 #include "server/sparql_server.hpp"
 #include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
+#include "store/live_store.hpp"
 #include "workload/lubm.hpp"
 
 namespace turbo::server {
@@ -417,6 +421,75 @@ TEST(ServerDeadline, DeadlineBeforeFirstRowIs408MidStreamIsMarker) {
                   .ok());
   EXPECT_EQ(resp.status, 408);
   EXPECT_NE(resp.body.find("deadline"), std::string::npos) << resp.body;
+  server.Stop();
+}
+
+TEST(ServerDeadline, RequestCannotLiftOrLoosenServerDeadline) {
+  rdf::Dataset ds = TinyData();
+  GateSolver gated(ds.dict(), 8, /*gated=*/true);
+  QueryEngine engine(&gated);
+  ServerConfig config;
+  config.default_timeout_ms = 50;
+  SparqlServer server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+  // A request that escaped the server's deadline would wait at the gate
+  // until this watchdog opens it, and then answer 200 instead of 408.
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    const steady_clock::time_point until = steady_clock::now() + std::chrono::seconds(2);
+    while (!done.load() && steady_clock::now() < until)
+      std::this_thread::sleep_for(milliseconds(5));
+    gated.Release();
+  });
+  for (const char* timeout : {"0", "500"}) {
+    HttpResponse resp;
+    EXPECT_TRUE(HttpGet(server.port(),
+                        std::string("/sparql?timeout-ms=") + timeout +
+                            "&query=SELECT%20?s%20?o%20WHERE%20%7B%20"
+                            "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
+                        &resp)
+                    .ok());
+    EXPECT_EQ(resp.status, 408) << "timeout-ms=" << timeout;
+  }
+  done.store(true);
+  watchdog.join();
+  server.Stop();
+}
+
+TEST(ServerLiveStore, CachedPlanHitsAcrossUpdateWithUpdatedRows) {
+  store::LiveStore live(TinyData());
+  SparqlServer server(&live, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string target =
+      "/sparql?format=tsv&query=SELECT%20?o%20WHERE%20%7B%20%3Chttp://x/s9%3E%20"
+      "%3Chttp://x/p%3E%20?o%20.%20%7D";
+  HttpResponse before;
+  ASSERT_TRUE(HttpGet(server.port(), target, &before).ok());
+  EXPECT_EQ(before.status, 200);
+  EXPECT_EQ(before.headers["x-plan-cache"], "miss");
+  EXPECT_EQ(before.headers["x-epoch"], "0");
+  EXPECT_EQ(before.body.find("o9"), std::string::npos) << before.body;
+
+  int fd = DialLocal(server.port());
+  ASSERT_GE(fd, 0);
+  HttpResponse updated;
+  std::string leftover;
+  ASSERT_TRUE(
+      WriteHttpRequest(fd, "POST", "/update",
+                       {{"Content-Type", "application/sparql-update"}},
+                       "INSERT DATA { <http://x/s9> <http://x/p> <http://x/o9> . }")
+          .ok());
+  ASSERT_TRUE(ReadHttpResponse(fd, &updated, &leftover).ok());
+  ::close(fd);
+  EXPECT_EQ(updated.status, 200) << updated.body;
+
+  HttpResponse after;
+  ASSERT_TRUE(HttpGet(server.port(), target, &after).ok());
+  EXPECT_EQ(after.status, 200);
+  EXPECT_EQ(after.headers["x-plan-cache"], "hit");
+  EXPECT_EQ(after.headers["x-epoch"], "1");
+  EXPECT_NE(after.body.find("<http://x/o9>"), std::string::npos) << after.body;
+  EXPECT_EQ(server.stats().plan_cache_misses, 1u);
   server.Stop();
 }
 

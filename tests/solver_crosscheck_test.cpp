@@ -7,6 +7,10 @@
 // isomorphism semantics (isomorphism is checked against the baseline's
 // homomorphism rows filtered for vertex-injectivity).
 //
+// The large-graph tier also serves each case through a live store's delta
+// (IndexJoinBgpSolver over base minus tombstones plus added triples, with
+// an overlay-only term) and compares its rendered rows to the reference.
+//
 // Every future perf PR inherits this oracle: if a hot-path change breaks
 // correctness on any toggle combination, this test catches it on 60+ seeded
 // random query/data pairs. The generators live in tests/crosscheck_util.hpp
@@ -14,8 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "baseline/solvers.hpp"
@@ -24,6 +30,7 @@
 #include "graph/data_graph.hpp"
 #include "rdf/dataset.hpp"
 #include "sparql/turbo_solver.hpp"
+#include "store/live_store.hpp"
 #include "tests/crosscheck_util.hpp"
 #include "util/rng.hpp"
 
@@ -34,6 +41,92 @@ using engine::MatchOptions;
 using engine::MatchSemantics;
 using sparql::Row;
 using namespace turbo::testing::crosscheck;  // NOLINT
+
+/// Rows in N-Triples form, sorted: a live store assigns its own term ids, so
+/// only rendered rows compare across stores.
+std::vector<std::string> RenderSorted(const std::vector<Row>& rows,
+                                      const std::vector<std::string>& vars,
+                                      const rdf::Dictionary& dict,
+                                      const sparql::LocalVocab* local = nullptr) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(sparql::FormatRow(vars, r, dict, local));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Serves `c` from a live store whose one update leaves a delta. The base
+/// holds most of the case's triples plus extra ones the case lacks. The
+/// update deletes the extras (tombstones) and inserts the rest (delta adds),
+/// among them every triple naming one term, so that term exists only in the
+/// overlay. Returns the rows of the update's epoch, rendered. `c` must have
+/// a non-empty base BGP.
+std::vector<std::string> RunOverLiveDelta(const ExecutorFuzzCase& c,
+                                          const sparql::PreparedQuery& prepared,
+                                          uint64_t seed) {
+  util::Rng rng(seed ^ 0x5eedULL);
+  const rdf::Dictionary& dict = c.ds.dict();
+  std::vector<rdf::Triple> all(c.ds.triples().begin(), c.ds.triples().end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  std::unordered_set<rdf::Triple, rdf::TripleHash> present(all.begin(), all.end());
+  auto pick = [&] { return all[rng.Below(all.size())]; };
+
+  // Half the cases make the predicate of the query's first pattern
+  // overlay-only, so query constants must resolve through the overlay.
+  const sparql::PatternTerm& first_p = c.query.where.triples.front().p;
+  const TermId fresh =
+      !first_p.is_var() && rng.Chance(0.5) ? *dict.Find(first_p.term) : pick().s;
+  auto names_fresh = [&](const rdf::Triple& t) {
+    return t.s == fresh || t.p == fresh || t.o == fresh;
+  };
+  std::vector<rdf::Triple> base, inserts, doomed;
+  for (const rdf::Triple& t : all)
+    (names_fresh(t) || rng.Chance(0.2) ? inserts : base).push_back(t);
+  for (int i = 0; i < 64; ++i) {
+    rdf::Triple t{pick().s, pick().p, pick().o};
+    if (!names_fresh(t) && present.insert(t).second) doomed.push_back(t);
+  }
+
+  rdf::Dataset base_ds;
+  for (const std::vector<rdf::Triple>* part : {&base, &doomed})
+    for (const rdf::Triple& t : *part)
+      base_ds.Add(dict.term(t.s), dict.term(t.p), dict.term(t.o));
+  auto block = [&](const char* op, const std::vector<rdf::Triple>& triples) {
+    std::string text = std::string(op) + " DATA {\n";
+    for (const rdf::Triple& t : triples)
+      text += dict.term(t.s).ToNTriples() + " " + dict.term(t.p).ToNTriples() + " " +
+              dict.term(t.o).ToNTriples() + " .\n";
+    return text + "}";
+  };
+  std::string update = block("INSERT", inserts);
+  if (!doomed.empty()) update = block("DELETE", doomed) + " ;\n" + update;
+
+  store::LiveStore::Config config;
+  config.engine.solver = sparql::QueryEngine::SolverKind::kIndexJoin;
+  store::LiveStore live(std::move(base_ds), config);
+  auto applied = live.Update(update);
+  EXPECT_TRUE(applied.ok()) << applied.message();
+  if (!applied.ok()) return {"<update error>"};
+  EXPECT_EQ(applied.value().deleted, doomed.size());
+  EXPECT_EQ(applied.value().inserted, inserts.size());
+
+  std::shared_ptr<const store::LiveStore::Snapshot> snap = live.snapshot();
+  EXPECT_TRUE(snap->has_delta());
+  EXPECT_FALSE(snap->dict().Find(dict.term(fresh)).has_value())
+      << "the fresh term must live in the overlay only";
+  sparql::ExecOptions opts;
+  opts.streaming = seed % 2 == 1;
+  auto cursor = store::LiveStore::OpenAt(snap, prepared, opts);
+  EXPECT_TRUE(cursor.ok()) << cursor.message();
+  if (!cursor.ok()) return {"<open error>"};
+  std::vector<Row> rows;
+  Row row;
+  while (cursor.value().Next(&row)) rows.push_back(row);
+  EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
+  return RenderSorted(rows, prepared.var_names(), snap->dict(),
+                      cursor.value().local_vocab().get());
+}
 
 TEST(SolverCrosscheck, RandomizedBgpAllTogglesBothSemantics) {
   constexpr uint64_t kNumCases = 60;
@@ -290,6 +383,15 @@ TEST(SolverCrosscheck, LargeGraphExecutorFuzz) {
     const uint32_t cap = kCaps[seed % 3];
     EXPECT_EQ(reference, RunStreamingCursor(sort_merge, c.query, cap))
         << "streaming sortmerge cap=" << cap;
+
+    // The same final triple set, read through a live store's delta.
+    {
+      auto prepared = sparql::PrepareSelect(c.query);
+      ASSERT_TRUE(prepared.ok()) << prepared.message();
+      EXPECT_EQ(RenderSorted(reference, prepared.value().var_names(), c.ds.dict()),
+                RunOverLiveDelta(c, prepared.value(), seed))
+          << "live-store delta";
+    }
 
     graph::DataGraph direct = graph::DataGraph::Build(c.ds, graph::TransformMode::kDirect);
     graph::DataGraph typed = graph::DataGraph::Build(c.ds, graph::TransformMode::kTypeAware);
