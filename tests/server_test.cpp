@@ -1,5 +1,8 @@
 // HTTP SPARQL endpoint tests, all over an in-process SparqlServer on an
 // ephemeral port:
+//  * encoders: hand-written golden bytes for JSON and TSV (every term
+//    shape, escapes, unbound cells, separators, footers with and without a
+//    stop cause);
 //  * protocol: JSON/TSV result encoding matches Executor::Execute row for
 //    row; X-Plan-Cache miss-then-hit with identical rows; malformed queries
 //    get a 400 whose body carries the parse error; per-request deadline maps
@@ -110,6 +113,83 @@ class ServerProtocolTest : public ::testing::Test {
 
 QueryEngine* ServerProtocolTest::engine_ = nullptr;
 SparqlServer* ServerProtocolTest::server_ = nullptr;
+
+// ---------------------------------------------------------------------------
+// Golden bytes: hand-written expected encodings, independent of the encoder
+// (the materialized references above are rendered by the encoder itself).
+// ---------------------------------------------------------------------------
+
+/// One term of every shape the encoders distinguish, plus three rows over
+/// them: (IRI, escape-heavy literal), (typed, language-tagged), (bnode,
+/// unbound) — the last also exercises the multi-row separator.
+struct GoldenRows {
+  rdf::Dictionary dict;
+  std::vector<std::string> vars{"s", "o"};
+  std::vector<sparql::Row> rows;
+
+  GoldenRows() {
+    const TermId iri = dict.GetOrAdd(rdf::Term::Iri("http://x/a"));
+    // '"', '\', '\n', '\t' and a 0x01 control byte between plain runs.
+    const TermId lit = dict.GetOrAdd(rdf::Term::Literal("a\"b\\c\nd\te\x01" "f"));
+    const TermId typed = dict.GetOrAdd(
+        rdf::Term::TypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer"));
+    const TermId lang = dict.GetOrAdd(rdf::Term::LangLiteral("chat", "fr"));
+    const TermId bnode = dict.GetOrAdd(rdf::Term::Blank("b0"));
+    rows = {{iri, lit}, {typed, lang}, {bnode, kInvalidId}};
+  }
+
+  std::string Encode(const std::string& format, sparql::StopCause cause) const {
+    auto enc = MakeResultEncoder(format);
+    std::string out = enc->Header(vars);
+    for (const sparql::Row& row : rows) out += enc->EncodeRow(vars, row, dict, nullptr);
+    out += enc->Footer(cause);
+    return out;
+  }
+};
+
+TEST(ResultEncoderGolden, JsonBytes) {
+  GoldenRows g;
+  const std::string rows =
+      R"({"head":{"vars":["s","o"]},"results":{"bindings":[)"
+      "\n"
+      R"({"s":{"type":"uri","value":"http://x/a"},)"
+      R"("o":{"type":"literal","value":"a\"b\\c\nd\te\u0001f"}})"
+      ",\n"
+      R"({"s":{"type":"literal","value":"42",)"
+      R"("datatype":"http://www.w3.org/2001/XMLSchema#integer"},)"
+      R"("o":{"type":"literal","value":"chat","xml:lang":"fr"}})"
+      ",\n"
+      R"({"s":{"type":"bnode","value":"b0"}})";
+  EXPECT_EQ(g.Encode("json", sparql::StopCause::kNone), rows + "\n]}}\n");
+  EXPECT_EQ(g.Encode("json", sparql::StopCause::kRowBudget),
+            rows + "\n]},\"stopped\":\"row budget\"}\n");
+}
+
+TEST(ResultEncoderGolden, TsvBytes) {
+  GoldenRows g;
+  const std::string rows =
+      "?s\t?o\n"
+      "<http://x/a>\t\"a\\\"b\\\\c\\nd\\te\\u0001f\"\n"
+      "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\t\"chat\"@fr\n"
+      "_:b0\t\n";
+  EXPECT_EQ(g.Encode("tsv", sparql::StopCause::kNone), rows);
+  EXPECT_EQ(g.Encode("tsv", sparql::StopCause::kDeadline),
+            rows + "# stopped: deadline\n");
+}
+
+TEST(ResultEncoderGolden, JsonNoRowsAndAllUnbound) {
+  rdf::Dictionary dict;
+  std::vector<std::string> vars{"x"};
+  auto empty = MakeResultEncoder("json");
+  EXPECT_EQ(empty->Header(vars) + empty->Footer(sparql::StopCause::kRowBudget),
+            "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[\n\n]},"
+            "\"stopped\":\"row budget\"}\n");
+  auto enc = MakeResultEncoder("json");
+  std::string body = enc->Header(vars);
+  body += enc->EncodeRow(vars, {kInvalidId}, dict, nullptr);
+  body += enc->EncodeRow(vars, {kInvalidId}, dict, nullptr);
+  EXPECT_EQ(body, "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[\n{},\n{}");
+}
 
 TEST_F(ServerProtocolTest, TsvBodyMatchesMaterializedReference) {
   HttpResponse resp = Get("/sparql?format=tsv&query=" + UrlEncode(kProfessorQuery));
