@@ -10,11 +10,18 @@
 //     streaming holds at most channel_capacity rows in flight (plus any
 //     sort/group operator buffers).
 //
+// A third, machine-independent one: allocs_per_row, the heap allocations of
+// one warm Open + drain divided by its rows. Rows cross the channel in flat
+// batches and Next() copies into the caller's reused Row, so a streaming
+// drain allocates per batch, not per row. Omitted under ASan (the sanitizer
+// owns the allocator).
+//
 // With BENCH_JSON=<path> the run emits the machine-tagged report consumed by
 // bench/compare_results.py; bench/results/streaming.json is the checked-in
 // reference-VM baseline. Entries are named LUBM<n>/Q<i>/{materialized,
 // streaming<cap>} with metrics ttfr_ms / ms / rows / peak_buffered /
-// peak_channel.
+// peak_channel / allocs_per_row.
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "workload/lubm.hpp"
@@ -31,6 +38,7 @@ struct Measured {
   size_t rows = 0;
   uint64_t peak_buffered = 0;  ///< Cursor::peak_buffered_rows
   uint64_t peak_channel = 0;   ///< Cursor::peak_channel_rows
+  uint64_t allocs = 0;         ///< heap allocations of the last Open + drain
 };
 
 Measured TimeDrain(const sparql::QueryEngine& engine, const std::string& query,
@@ -38,6 +46,7 @@ Measured TimeDrain(const sparql::QueryEngine& engine, const std::string& query,
   Measured result;
   std::vector<double> ttfr, total;
   for (int i = 0; i < reps; ++i) {
+    const uint64_t allocs_before = bench::AllocCount();
     util::WallTimer t;
     auto cursor = engine.Open(query, opts);
     size_t rows = 0;
@@ -51,6 +60,7 @@ Measured TimeDrain(const sparql::QueryEngine& engine, const std::string& query,
       } else {
         first = t.ElapsedMillis();
       }
+      result.allocs = bench::AllocCount() - allocs_before;
       result.peak_buffered = cursor.value().peak_buffered_rows();
       result.peak_channel = cursor.value().peak_channel_rows();
     }
@@ -128,6 +138,9 @@ int main() {
         res.metrics["rows"] = static_cast<double>(m.rows);
         res.metrics["peak_buffered"] = static_cast<double>(m.peak_buffered);
         res.metrics["peak_channel"] = static_cast<double>(m.peak_channel);
+        if (bench::kAllocCountingEnabled && m.rows > 0)
+          res.metrics["allocs_per_row"] =
+              static_cast<double>(m.allocs) / static_cast<double>(m.rows);
         report.results.push_back(std::move(res));
       }
     }

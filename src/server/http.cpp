@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -183,16 +184,37 @@ const char* StatusReason(int status) {
 }
 
 bool HttpResponseWriter::Send(const char* data, size_t n) {
+  iovec iov{const_cast<char*>(data), n};
+  return SendV(&iov, 1);
+}
+
+bool HttpResponseWriter::SendV(iovec* iov, size_t n) {
   if (failed_) return false;
   while (n > 0) {
-    ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {  // non-blocking socket full
+        pollfd p{fd_, POLLOUT, 0};
+        if (::poll(&p, 1, -1) >= 0 || errno == EINTR) continue;
+      }
       failed_ = true;  // peer gone (EPIPE/ECONNRESET) or socket shut down
       return false;
     }
-    data += w;
-    n -= static_cast<size_t>(w);
+    // Drop the fully written entries, then trim the partly written one.
+    size_t left = static_cast<size_t>(w);
+    while (n > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --n;
+    }
+    if (n > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return true;
 }
@@ -227,8 +249,10 @@ bool HttpResponseWriter::Chunk(const std::string& data) {
   if (data.empty()) return !failed_;
   char size_line[32];
   int n = std::snprintf(size_line, sizeof size_line, "%zx\r\n", data.size());
-  return Send(size_line, static_cast<size_t>(n)) && Send(data.data(), data.size()) &&
-         Send("\r\n", 2);
+  iovec iov[3] = {{size_line, static_cast<size_t>(n)},
+                  {const_cast<char*>(data.data()), data.size()},
+                  {const_cast<char*>("\r\n"), 2}};
+  return SendV(iov, 3);
 }
 
 bool HttpResponseWriter::EndChunked(const std::map<std::string, std::string>& trailers) {

@@ -9,6 +9,8 @@
 // HTTP/2, no request pipelining.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <map>
 #include <string>
@@ -64,8 +66,9 @@ class HttpResponseWriter {
   bool BeginChunked(int status, const std::string& content_type,
                     const std::map<std::string, std::string>& extra_headers = {},
                     const std::string& trailer_names = {}, bool keep_alive = true);
-  /// Sends one chunk; empty data is a no-op (an empty chunk would terminate
-  /// the stream mid-flight).
+  /// Sends one chunk — size line, payload and CRLF in one sendmsg, resumed
+  /// after partial writes; empty data is a no-op (an empty chunk would
+  /// terminate the stream mid-flight).
   bool Chunk(const std::string& data);
   /// Sends the terminating chunk and any trailers.
   bool EndChunked(const std::map<std::string, std::string>& trailers = {});
@@ -74,6 +77,9 @@ class HttpResponseWriter {
 
  private:
   bool Send(const char* data, size_t n);
+  /// Writes every byte of `iov[0..n)`, advancing the vector past partial
+  /// writes (the entries are consumed).
+  bool SendV(iovec* iov, size_t n);
 
   int fd_;
   bool failed_ = false;

@@ -1,6 +1,6 @@
 #include "server/result_encoder.hpp"
 
-#include <cstdio>
+#include <array>
 
 #include "rdf/term.hpp"
 
@@ -19,43 +19,47 @@ class JsonEncoder final : public ResultEncoder {
     std::string out = "{\"head\":{\"vars\":[";
     for (size_t i = 0; i < vars.size(); ++i) {
       if (i) out += ',';
-      out += '"' + JsonEscape(vars[i]) + '"';
+      out += '"';
+      AppendJsonEscaped(vars[i], &out);
+      out += '"';
     }
     out += "]},\"results\":{\"bindings\":[\n";
     return out;
   }
 
-  std::string EncodeRow(const std::vector<std::string>& vars, const sparql::Row& row,
-                        const rdf::Dictionary& dict,
-                        const sparql::LocalVocab* local) override {
-    std::string out;
+  void AppendRow(const std::vector<std::string>& vars, const sparql::Row& row,
+                 const rdf::Dictionary& dict, const sparql::LocalVocab* local,
+                 std::string* out) override {
+    if (prefixes_.size() != vars.size()) BuildPrefixes(vars);
     if (first_) {
       first_ = false;
+      *out += '{';
     } else {
-      out += ",\n";
+      *out += ",\n{";
     }
-    out += '{';
     bool any = false;
     for (size_t i = 0; i < vars.size() && i < row.size(); ++i) {
       if (row[i] == kInvalidId) continue;  // unbound: the var is omitted
       const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]);
       if (!t) continue;
-      if (any) out += ',';
+      if (any) *out += ',';
       any = true;
-      out += '"' + JsonEscape(vars[i]) + "\":{\"type\":\"";
-      switch (t->kind) {
-        case rdf::TermKind::kIri: out += "uri"; break;
-        case rdf::TermKind::kLiteral: out += "literal"; break;
-        case rdf::TermKind::kBlank: out += "bnode"; break;
+      *out += prefixes_[i][static_cast<size_t>(t->kind)];
+      AppendJsonEscaped(t->lexical, out);
+      *out += '"';
+      if (!t->datatype.empty()) {
+        *out += ",\"datatype\":\"";
+        AppendJsonEscaped(t->datatype, out);
+        *out += '"';
       }
-      out += "\",\"value\":\"" + JsonEscape(t->lexical) + '"';
-      if (!t->datatype.empty())
-        out += ",\"datatype\":\"" + JsonEscape(t->datatype) + '"';
-      if (!t->lang.empty()) out += ",\"xml:lang\":\"" + JsonEscape(t->lang) + '"';
-      out += '}';
+      if (!t->lang.empty()) {
+        *out += ",\"xml:lang\":\"";
+        AppendJsonEscaped(t->lang, out);
+        *out += '"';
+      }
+      *out += '}';
     }
-    out += '}';
-    return out;
+    *out += '}';
   }
 
   std::string Footer(StopCause cause) override {
@@ -67,7 +71,27 @@ class JsonEncoder final : public ResultEncoder {
   }
 
  private:
+  static constexpr size_t kKinds = 3;  ///< rdf::TermKind values
+
+  /// Escapes each binding's `"name":{"type":"<kind>","value":"` once per
+  /// response, one per term kind, so a row appends whole prefixes.
+  void BuildPrefixes(const std::vector<std::string>& vars) {
+    static constexpr const char* kTypes[kKinds] = {"uri", "literal", "bnode"};
+    static_assert(static_cast<size_t>(rdf::TermKind::kIri) == 0 &&
+                  static_cast<size_t>(rdf::TermKind::kLiteral) == 1 &&
+                  static_cast<size_t>(rdf::TermKind::kBlank) == 2);
+    prefixes_.assign(vars.size(), {});
+    for (size_t i = 0; i < vars.size(); ++i) {
+      std::string name = "\"";
+      AppendJsonEscaped(vars[i], &name);
+      name += "\":{\"type\":\"";
+      for (size_t k = 0; k < kKinds; ++k)
+        prefixes_[i][k] = name + kTypes[k] + "\",\"value\":\"";
+    }
+  }
+
   bool first_ = true;
+  std::vector<std::array<std::string, kKinds>> prefixes_;
 };
 
 class TsvEncoder final : public ResultEncoder {
@@ -84,18 +108,16 @@ class TsvEncoder final : public ResultEncoder {
     return out;
   }
 
-  std::string EncodeRow(const std::vector<std::string>& vars, const sparql::Row& row,
-                        const rdf::Dictionary& dict,
-                        const sparql::LocalVocab* local) override {
-    std::string out;
+  void AppendRow(const std::vector<std::string>& vars, const sparql::Row& row,
+                 const rdf::Dictionary& dict, const sparql::LocalVocab* local,
+                 std::string* out) override {
     for (size_t i = 0; i < vars.size() && i < row.size(); ++i) {
-      if (i) out += '\t';
+      if (i) *out += '\t';
       if (row[i] == kInvalidId) continue;  // unbound: empty field
       const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]);
-      if (t) out += t->ToNTriples();
+      if (t) *out += t->ToNTriples();
     }
-    out += '\n';
-    return out;
+    *out += '\n';
   }
 
   std::string Footer(StopCause cause) override {
@@ -106,27 +128,27 @@ class TsvEncoder final : public ResultEncoder {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t clean = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + clean, i - clean);
+    clean = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(esc, sizeof esc);
+      }
     }
   }
-  return out;
+  out->append(s.data() + clean, s.size() - clean);
 }
 
 std::unique_ptr<ResultEncoder> MakeResultEncoder(const std::string& format) {

@@ -342,10 +342,14 @@ struct SparqlServer::Impl {
     sparql::Cursor& cur = cursor.value();
 
     // First Next before the status line commits: an early failure still
-    // gets a real status code instead of a 200 that trails off.
+    // gets a real status code instead of a 200 that trails off. A row
+    // budget is not a failure: tripped before the first row (a sort or
+    // group over more rows than the budget) it answers like one tripped
+    // after it — a 200 whose body carries the stop marker and trailer.
     sparql::Row row;
     bool has_row = cur.Next(&row);
-    if (!has_row && !cur.status().ok()) {
+    if (!has_row && !cur.status().ok() &&
+        cur.stop_cause() != sparql::StopCause::kRowBudget) {
       int code = cur.stop_cause() == sparql::StopCause::kDeadline ? 408 : 500;
       return w->WriteSimple(code, "text/plain",
                             cur.status().message() + " (stop cause: " +
@@ -359,12 +363,13 @@ struct SparqlServer::Impl {
     std::shared_ptr<const sparql::LocalVocab> vocab = cur.local_vocab();
     const rdf::Dictionary& dict = snap ? snap->dict() : engine->dict();
 
+    // One buffer per response: rows append into it and it is reused for
+    // every chunk. The first row flushes immediately (time-to-first-byte
+    // tracks the cursor, not the batch); after that, ~8KB per chunk.
     std::string buf = enc->Header(vars);
-    // The first row flushes immediately (time-to-first-byte tracks the
-    // cursor, not the batch); after that, batch up to ~8KB per chunk.
     bool first_flush = true;
     while (has_row) {
-      buf += enc->EncodeRow(vars, row, dict, vocab.get());
+      enc->AppendRow(vars, row, dict, vocab.get(), &buf);
       if (first_flush || buf.size() >= 8192) {
         first_flush = false;
         if (!w->Chunk(buf)) return false;  // client gone: abandon the cursor

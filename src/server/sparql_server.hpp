@@ -29,14 +29,17 @@
 // `capacity` / X-Channel-Capacity (streaming channel), `format` = json|tsv
 // (or Accept: text/tab-separated-values). A request may tighten the
 // server's row budget and deadline, never loosen them. Results stream with chunked
-// transfer encoding, one fragment per delivered row, so time-to-first-byte
-// tracks the cursor's first Next — not query completion.
+// transfer encoding: rows are appended into one reusable per-response
+// buffer and sent in ~8 KB chunks, the first row alone, so
+// time-to-first-byte tracks the cursor's first Next — not query completion.
 //
 // Status mapping: the first Next runs BEFORE the status line is committed,
 // so early failures get real codes — 400 parse error (parser message in the
-// body), 408 deadline before the first row, 500 other producer failures,
-// 503 admission-control overload. Stops after streaming has begun are
-// reported in-body (encoder footer) and in an X-Stop-Cause trailer.
+// body), 408 deadline before the first row, 500 producer failures, 503
+// admission-control overload. A row budget is not a failure: whether it
+// trips before the first row or after, the answer is a 200 whose stop is
+// reported in-body (encoder footer) and in an X-Stop-Cause trailer, as is
+// every stop after streaming has begun.
 //
 // Threading: an acceptor thread hands accepted connections to a bounded
 // pool of workers; each connection is owned by one worker for its keep-alive

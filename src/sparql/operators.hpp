@@ -15,7 +15,8 @@
 //   OrderByOp/TopKOp pipeline breakers: full sort, or the bounded
 //                    offset+limit heap with arrival-sequence tiebreak
 //   SliceOp          OFFSET/LIMIT; the kStop origin for LIMIT pushdown
-//   CollectOp        root sink feeding the Cursor's delivery buffer
+//   CollectOp        root sink feeding the Cursor's delivery batch
+//   ChannelSink      streaming root sink: row batches into the channel
 //   RelayOp          glue: terminates a branch sub-chain into a callback
 //
 // Execution model: produce/consume (push), not Volcano pull. The solvers
@@ -40,6 +41,7 @@
 // those counts (the `sparql_shell --explain` output).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -598,27 +600,58 @@ class SliceOp final : public RowOp {
   uint64_t delivered_ = 0;
 };
 
-/// Root sink: appends delivered rows to the cursor's buffer.
+/// Root sink of a materialized cursor: appends delivered rows to the
+/// cursor's flat delivery batch.
 class CollectOp final : public RowOp {
  public:
-  CollectOp(std::vector<Row>* out, ExecState* state)
+  CollectOp(RowBatch* out, ExecState* state)
       : RowOp("Collect", nullptr, state), out_(out) {}
 
   EmitResult DoPush(const Row& row) override {
-    out_->push_back(row);
+    out_->Append(row);
     state()->NoteBuffered(out_->size());
     return EmitResult::kContinue;
   }
 
  private:
-  std::vector<Row>* out_;
+  RowBatch* out_;
 };
 
-/// Root sink for streaming cursors: hands each delivered row to the bounded
-/// delivery channel, blocking while the consumer lags. A channel closed by
-/// the consumer — the cursor was abandoned — reads as a plain kStop, the
-/// same unwind LIMIT pushdown uses, so teardown terminates the subgraph
-/// search itself rather than just the delivery.
+/// Weighs a channel item by its row count, so the channel's peak counts
+/// rows while its capacity counts batch slots.
+struct BatchRows {
+  size_t operator()(const RowBatch& b) const { return b.size(); }
+};
+using RowChannel = util::Channel<RowBatch, BatchRows>;
+
+/// Batch geometry of a streaming delivery channel of `capacity` rows
+/// (ExecOptions::channel_capacity): batches of max(1, capacity/4) rows in
+/// (capacity + 2 - 2*rows) / rows channel slots. The queued rows then never
+/// exceed `capacity`, and queued rows plus one batch in the producer's hand
+/// plus one in the consumer's never exceed capacity + 2 — the in-flight
+/// bounds a per-row channel of `capacity` slots had. Capacities below 8
+/// give one-row batches, i.e. exactly the per-row channel.
+struct DeliveryBatching {
+  size_t rows;   ///< rows per full batch
+  size_t slots;  ///< channel capacity, in batches
+
+  static DeliveryBatching For(size_t capacity) {
+    capacity = std::max<size_t>(capacity, 1);
+    const size_t rows = std::max<size_t>(1, capacity / 4);
+    return {rows, (capacity + 2 - 2 * rows) / rows};
+  }
+};
+
+/// Root sink for streaming cursors: appends each delivered row to its open
+/// batch and hands batches to the bounded delivery channel, blocking while
+/// the consumer lags. The first row of the stream goes out alone, so the
+/// consumer's first row (and an endpoint's first byte) tracks the
+/// enumeration rather than the batch; after it, only full batches are
+/// pushed, and Flush() hands over the partial one when the producer stops —
+/// however it stops. A channel closed by the consumer — the cursor was
+/// abandoned — reads as a plain kStop, the same unwind LIMIT pushdown uses,
+/// so teardown terminates the subgraph search itself rather than just the
+/// delivery.
 ///
 /// The wait flavour depends on the execution's abort sources: a cancel token
 /// or deadline has no condvar hookup, so its presence forces the channel's
@@ -627,41 +660,62 @@ class CollectOp final : public RowOp {
 /// untimed wait — abandonment is always paired with CloseConsumer, which
 /// wakes it — so an abort-free stream never takes a spurious timed wakeup.
 ///
-/// `on_deliver` (optional) runs on the producer thread once per row, just
-/// before the row is handed to the channel — the cursor's hook for
+/// `on_deliver` (optional) runs on the producer thread once per batch, just
+/// before the batch is handed to the channel — the cursor's hook for
 /// publishing a consistent mid-stream EXPLAIN snapshot.
 class ChannelSink final : public RowOp {
  public:
-  ChannelSink(util::Channel<Row>* channel, std::function<void()> on_deliver,
+  ChannelSink(RowChannel* channel, size_t batch_rows, std::function<void()> on_deliver,
               ExecState* state)
-      : RowOp("ChannelSink{cap=" + std::to_string(channel->capacity()) + "}",
+      : RowOp("ChannelSink{cap=" + std::to_string(channel->capacity()) + "x" +
+                  std::to_string(batch_rows) + "}",
               nullptr, state),
         channel_(channel),
+        batch_rows_(batch_rows),
         on_deliver_(std::move(on_deliver)) {}
 
   EmitResult DoPush(const Row& row) override {
+    if (batch_.empty()) batch_.Reserve(batch_rows_, row.size());
+    batch_.Append(row);
+    if (sent_any_ && batch_.size() < batch_rows_) return EmitResult::kContinue;
+    return Send();
+  }
+
+  /// Hands the open partial batch to the channel. The producer calls this
+  /// once the pipeline has stopped — end of input, LIMIT, row budget,
+  /// deadline, or an exception — so rows emitted before the stop still
+  /// reach the consumer; after the consumer has closed it is a no-op.
+  void Flush() {
+    if (!batch_.empty()) Send();
+  }
+
+ private:
+  EmitResult Send() {
+    sent_any_ = true;
     // Snapshot before the push: once the consumer has popped row k, the
     // published snapshot is guaranteed to cover at least k delivered rows.
     if (on_deliver_) on_deliver_();
     const EvalControl& c = state()->control;
     const bool needs_probe = c.cancel != nullptr || c.has_deadline();
-    auto op = needs_probe
-                  ? channel_->Push(row,
-                                   [&c] {
-                                     return c.abandoned() || c.cancelled() ||
-                                            c.expired();
-                                   })
-                  : channel_->Push(row);
-    if (op == util::Channel<Row>::Op::kOk) return EmitResult::kContinue;
-    if (op == util::Channel<Row>::Op::kAborted)
+    auto op = needs_probe ? channel_->Push(std::move(batch_),
+                                           [&c] {
+                                             return c.abandoned() || c.cancelled() ||
+                                                    c.expired();
+                                           })
+                          : channel_->Push(std::move(batch_));
+    batch_.Clear();  // moved-from either way: reset the row count
+    if (op == RowChannel::Op::kOk) return EmitResult::kContinue;
+    if (op == RowChannel::Op::kAborted)
       state()->Fail(state()->control.Check(),
                     CauseOf(state()->control, StopCause::kProducerFailed));
     return EmitResult::kStop;
   }
 
- private:
-  util::Channel<Row>* channel_;
+  RowChannel* channel_;
+  size_t batch_rows_;
   std::function<void()> on_deliver_;
+  RowBatch batch_;
+  bool sent_any_ = false;
 };
 
 }  // namespace turbo::sparql

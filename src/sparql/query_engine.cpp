@@ -277,8 +277,11 @@ struct Cursor::State {
   ExecOptions opts;
   util::Status status;
   StopCause cause = StopCause::kNone;  ///< classification of `status`
-  std::vector<Row> rows;  ///< projected rows that passed every modifier
-  size_t pos = 0;
+  /// The rows Next() serves from: the whole delivered set in materialized
+  /// mode (CollectOp writes it), the last popped channel batch in
+  /// streaming mode. `served` counts the rows of it already handed out.
+  RowBatch delivered;
+  size_t served = 0;
   bool ran = false;
   uint64_t before_modifiers = 0;
   uint64_t peak_buffered = 0;  ///< high-water mark of rows held at once
@@ -292,14 +295,15 @@ struct Cursor::State {
   std::unique_ptr<FilterEvaluator> post_eval;  ///< over post_vars + local
 
   // Streaming delivery (ExecOptions::streaming): the pipeline runs on
-  // `producer`, whose ChannelSink root pushes delivered rows into the
-  // bounded `channel`; Next() pops at the consumer's pace. `abandoned` is
+  // `producer`, whose ChannelSink root pushes row batches into the bounded
+  // `channel`; Next() pops a batch at the consumer's pace. `abandoned` is
   // wired into the pipeline's EvalControl (and down into MatchOptions), so
   // setting it unwinds the enumeration like a cancel — teardown stops the
   // search itself, not just the delivery. The plain (non-atomic) members
   // above are written by the producer only before it signals completion and
   // read by the consumer only after joining it, so they need no locking.
-  std::unique_ptr<util::Channel<Row>> channel;
+  std::unique_ptr<RowChannel> channel;
+  ChannelSink* sink = nullptr;  ///< the streaming root, once built
   std::thread producer;
   std::atomic<bool> abandoned{false};
   std::atomic<bool> producer_done{false};
@@ -307,7 +311,7 @@ struct Cursor::State {
 
   // Mid-stream EXPLAIN snapshot: the producer publishes a copy of every
   // operator's (rows_in, rows_out) pair — in pipe.ops order — under
-  // explain_mu just before each row is handed to the delivery channel.
+  // explain_mu just before each batch is handed to the delivery channel.
   // Publishing happens strictly after the operator tree is built, so a
   // consumer that observes a non-empty snapshot under the same mutex may
   // also walk the (by then immutable) tree structure.
@@ -320,6 +324,9 @@ struct Cursor::State {
   void ProducerMain();
   void PublishExplainSnapshot();
   void RunPipeline(bool streaming);
+  /// Consumer side of streaming: pops the next batch into `delivered`.
+  /// False at end-of-stream (status/counters then settled).
+  bool PopBatch();
   /// Joins the producer and settles status/cause/counters. A non-Ok
   /// `consumer_status` (the consumer's own cancel/deadline trip) takes
   /// precedence over whatever the producer recorded.
@@ -415,7 +422,8 @@ void Cursor::State::Run() {
 
 void Cursor::State::StartStreaming() {
   ran = true;
-  channel = std::make_unique<util::Channel<Row>>(opts.channel_capacity);
+  channel = std::make_unique<RowChannel>(
+      DeliveryBatching::For(opts.channel_capacity).slots);
   // Streaming executions intern computed terms on the producer while the
   // consumer resolves already-delivered rows, so the shared vocab must
   // exist before the thread starts (LocalVocab itself synchronizes the
@@ -439,15 +447,21 @@ void Cursor::State::ProducerMain() {
   // The library reports failures through Status, but a producer thread must
   // not let anything escape — an exception here would terminate the
   // process. It becomes a kProducerFailed status with the original message.
-  try {
-    RunPipeline(/*streaming=*/true);
-  } catch (const std::exception& e) {
-    pipe.state.Fail(util::Status::Error(std::string("producer failed: ") + e.what()),
-                    StopCause::kProducerFailed);
-  } catch (...) {
-    pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
-                    StopCause::kProducerFailed);
-  }
+  auto run = [this](auto&& body) {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      pipe.state.Fail(util::Status::Error(std::string("producer failed: ") + e.what()),
+                      StopCause::kProducerFailed);
+    } catch (...) {
+      pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
+                      StopCause::kProducerFailed);
+    }
+  };
+  run([this] { RunPipeline(/*streaming=*/true); });
+  // However the pipeline stopped — end of input, LIMIT, row budget,
+  // deadline, an exception — the rows it emitted still reach the consumer.
+  if (sink) run([this] { sink->Flush(); });
   producer_done.store(true, std::memory_order_release);
   channel->CloseProducer();
 }
@@ -507,11 +521,13 @@ void Cursor::State::RunPipeline(bool streaming) {
         std::make_unique<FilterEvaluator>(dict, p.post_vars, local_vocab.get());
 
   // ---- Build the modifier chain, back to front. ----
-  RowOp* cur =
-      streaming
-          ? static_cast<RowOp*>(pipe.Make<ChannelSink>(
-                channel.get(), [this] { PublishExplainSnapshot(); }, st))
-          : static_cast<RowOp*>(pipe.Make<CollectOp>(&rows, st));
+  RowOp* cur;
+  if (streaming)
+    cur = sink = pipe.Make<ChannelSink>(
+        channel.get(), DeliveryBatching::For(opts.channel_capacity).rows,
+        [this] { PublishExplainSnapshot(); }, st);
+  else
+    cur = pipe.Make<CollectOp>(&delivered, st);
   cur = pipe.Make<SliceOp>(static_cast<uint64_t>(q.offset), limit, cur, st);
 
   if (!q.order_by.empty()) {
@@ -631,6 +647,33 @@ void Cursor::State::RunPipeline(bool streaming) {
   }
 }
 
+bool Cursor::State::PopBatch() {
+  if (stream_ended) return false;
+  // The consumer observes its own cancel/deadline while blocked on an
+  // empty channel — the producer may be wedged deep in a pipeline breaker
+  // where no row will ever arrive to wake us. Without either abort source
+  // the wait is plain and untimed: every event that can end it (a batch
+  // arriving, the producer closing) notifies the channel's condvar.
+  EvalControl consumer;
+  consumer.cancel = opts.cancel_token;
+  consumer.deadline = opts.deadline;
+  const bool needs_probe = consumer.cancel != nullptr || consumer.has_deadline();
+  auto op = needs_probe ? channel->Pop(&delivered,
+                                       [&consumer] {
+                                         return consumer.cancelled() ||
+                                                consumer.expired();
+                                       })
+                        : channel->Pop(&delivered);
+  served = 0;
+  if (op == RowChannel::Op::kOk) return true;
+  delivered.Clear();
+  if (op == RowChannel::Op::kAborted)
+    Settle(consumer.Check(), CauseOf(consumer, StopCause::kCancelled));
+  else
+    Settle(util::Status::Ok(), StopCause::kNone);
+  return false;
+}
+
 bool Cursor::Next(Row* row) {
   if (!state_) return false;
   State& s = *state_;
@@ -640,33 +683,11 @@ bool Cursor::Next(Row* row) {
     else
       s.Run();
   }
-  if (s.opts.streaming) {
-    if (s.stream_ended) return false;
-    // The consumer observes its own cancel/deadline while blocked on an
-    // empty channel — the producer may be wedged deep in a pipeline breaker
-    // where no row will ever arrive to wake us. Without either abort source
-    // the wait is plain and untimed: every event that can end it (a row
-    // arriving, the producer closing) notifies the channel's condvar.
-    EvalControl consumer;
-    consumer.cancel = s.opts.cancel_token;
-    consumer.deadline = s.opts.deadline;
-    const bool needs_probe = consumer.cancel != nullptr || consumer.has_deadline();
-    auto op = needs_probe
-                  ? s.channel->Pop(row, [&consumer] {
-                      return consumer.cancelled() || consumer.expired();
-                    })
-                  : s.channel->Pop(row);
-    if (op == util::Channel<Row>::Op::kOk) return true;
-    if (op == util::Channel<Row>::Op::kAborted)
-      s.Settle(consumer.Check(), CauseOf(consumer, StopCause::kCancelled));
-    else
-      s.Settle(util::Status::Ok(), StopCause::kNone);
-    return false;
-  }
-  if (s.pos >= s.rows.size()) return false;
-  // The read position only advances, so hand the buffered row over instead
-  // of copying it — delivery-bound queries pay one allocation per row less.
-  *row = std::move(s.rows[s.pos++]);
+  // One serve path for both modes: rows are copied out of the flat batch
+  // into the caller's row, which a reused Row absorbs without allocating.
+  while (s.served >= s.delivered.size())
+    if (!s.opts.streaming || !s.PopBatch()) return false;
+  s.delivered.CopyRow(s.served++, row);
   return true;
 }
 

@@ -33,6 +33,47 @@ namespace turbo::sparql {
 /// unbound).
 using Row = std::vector<TermId>;
 
+/// `size()` rows of `width()` TermIds stored flat — the unit of delivery
+/// between the root operator and the Cursor (the streaming channel carries
+/// these, and a materialized cursor collects into one). The row count is
+/// kept explicitly, so zero-width rows (SELECT * over a ground pattern)
+/// still count. Operators keep passing `const Row&`.
+class RowBatch {
+ public:
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  size_t width() const { return width_; }
+
+  /// Appends a row; the first row of an empty batch fixes the width.
+  void Append(const Row& row) {
+    if (n_ == 0) width_ = row.size();
+    cells_.insert(cells_.end(), row.begin(), row.end());
+    ++n_;
+  }
+  /// Overwrites `*out` with row `i` (no allocation once `*out` has room).
+  void CopyRow(size_t i, Row* out) const {
+    auto first = cells_.begin() + static_cast<std::ptrdiff_t>(i * width_);
+    out->assign(first, first + static_cast<std::ptrdiff_t>(width_));
+  }
+  /// Empties the batch, keeping its storage for reuse.
+  void Clear() {
+    cells_.clear();
+    n_ = 0;
+  }
+  void Reserve(size_t rows, size_t width) { cells_.reserve(rows * width); }
+  /// The rows as separate vectors (tests and diagnostics).
+  std::vector<Row> ToRows() const {
+    std::vector<Row> out(n_);
+    for (size_t i = 0; i < n_; ++i) CopyRow(i, &out[i]);
+    return out;
+  }
+
+ private:
+  std::vector<TermId> cells_;
+  size_t width_ = 0;
+  size_t n_ = 0;
+};
+
 /// Stable mapping from variable names to row indices for one query.
 class VarRegistry {
  public:

@@ -1,7 +1,13 @@
-// Bounded MPSC channel for producer/consumer row delivery.
+// Bounded MPSC channel for producer/consumer delivery.
 //
 // The streaming cursor runs the operator pipeline on a producer thread and
 // pops delivered rows at the consumer's pace; this channel is the handoff.
+// Its items are row batches (sparql::RowBatch), not single rows: one lock
+// and one wakeup move a whole batch, and the channel's capacity counts
+// batch slots. A `Weight` functor says how many units an item holds (rows,
+// for a batch); peak_size() reports the high-water mark in those units, so
+// peak accounting stays in rows while the handoff runs in batches.
+//
 // Both ends block on condition variables. A caller that has an abort source
 // the channel cannot see (a cancel token or a deadline — nothing ever
 // notifies the condvar for those) passes an abort predicate, and the wait is
@@ -16,7 +22,7 @@
 // Protocol:
 //   - producer: Push(...) until done or aborted, then CloseProducer().
 //   - consumer: Pop(...) until kClosed, or CloseConsumer() to walk away —
-//     that drops any buffered rows and turns every subsequent Push into
+//     that drops any buffered items and turns every subsequent Push into
 //     kClosed, which the pipeline treats like a LIMIT-style kStop.
 //     CloseConsumer also wakes a producer blocked in an untimed Push, which
 //     is why cursor abandonment needs no timed probe.
@@ -26,6 +32,7 @@
 // not rely on that); there must be at most one consumer.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -36,7 +43,15 @@
 
 namespace turbo::util {
 
-template <typename T>
+/// Default item weight: every item is one unit.
+struct UnitWeight {
+  template <typename T>
+  size_t operator()(const T&) const {
+    return 1;
+  }
+};
+
+template <typename T, typename Weight = UnitWeight>
 class Channel {
  public:
   enum class Op : uint8_t {
@@ -82,6 +97,7 @@ class Channel {
   /// kClosed means end-of-stream: every pushed item has been popped.
   template <typename AbortFn>
   Op Pop(T* out, AbortFn&& abort) {
+    SpinForItem();
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
       if (!items_.empty()) break;
@@ -97,6 +113,7 @@ class Channel {
   /// Abort-free pop: blocks untimed until an item arrives or the producer
   /// closes — both producer events notify, so no timed polling is needed.
   Op Pop(T* out) {
+    SpinForItem();
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return producer_closed_ || !items_.empty(); });
     if (items_.empty()) return Op::kClosed;
@@ -109,24 +126,27 @@ class Channel {
     {
       std::lock_guard<std::mutex> lock(mu_);
       producer_closed_ = true;
+      poppable_.store(true, std::memory_order_release);
     }
     not_empty_.notify_all();
   }
 
-  /// Consumer walks away: buffered rows are dropped and blocked producers
+  /// Consumer walks away: buffered items are dropped and blocked producers
   /// wake with kClosed. Pairs with the cursor's teardown path.
   void CloseConsumer() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       consumer_closed_ = true;
       items_.clear();
+      weight_ = 0;
     }
     not_full_.notify_all();
   }
 
   size_t capacity() const { return cap_; }
 
-  /// High-water mark of buffered items, for peak_buffered_rows() accounting.
+  /// High-water mark of the buffered weight (items under UnitWeight, rows
+  /// for row batches), for peak_buffered_rows() accounting.
   uint64_t peak_size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return peak_;
@@ -148,17 +168,44 @@ class Channel {
   // Short enough that deadlines are observed promptly, long enough that an
   // idle blocked end costs nothing measurable.
   static constexpr std::chrono::milliseconds kWaitSlice{2};
+  // A producer mid-batch usually delivers within a few microseconds — less
+  // than parking and waking a thread costs — so Pop polls `poppable_` this
+  // long before it takes the lock and blocks. Push never spins: a full
+  // channel means the consumer is the slower side, and parking there costs
+  // the consumer nothing.
+  static constexpr std::chrono::microseconds kPopSpin{20};
+
+  void SpinForItem() const {
+    if (poppable_.load(std::memory_order_acquire)) return;
+    const auto until = std::chrono::steady_clock::now() + kPopSpin;
+    do {
+      for (int i = 0; i < 32; ++i) CpuRelax();
+      if (poppable_.load(std::memory_order_acquire)) return;
+    } while (std::chrono::steady_clock::now() < until);
+  }
+
+  static void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
 
   void DoPush(T item, std::unique_lock<std::mutex>* lock) {
+    weight_ += Weight{}(item);
+    if (weight_ > peak_) peak_ = weight_;
     items_.push_back(std::move(item));
-    if (items_.size() > peak_) peak_ = items_.size();
+    poppable_.store(true, std::memory_order_release);
     lock->unlock();
     not_empty_.notify_one();
   }
 
   void DoPop(T* out, std::unique_lock<std::mutex>* lock) {
+    weight_ -= Weight{}(items_.front());
     *out = std::move(items_.front());
     items_.pop_front();
+    poppable_.store(!items_.empty() || producer_closed_, std::memory_order_release);
     lock->unlock();
     not_full_.notify_one();
   }
@@ -168,8 +215,11 @@ class Channel {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
+  uint64_t weight_ = 0;  ///< summed Weight of `items_`
   uint64_t peak_ = 0;
   uint64_t timed_wait_slices_ = 0;
+  /// Lock-free mirror of "Pop would not block" for the spin; written under mu_.
+  std::atomic<bool> poppable_{false};
   bool producer_closed_ = false;
   bool consumer_closed_ = false;
 };

@@ -159,7 +159,7 @@ Row R(std::initializer_list<TermId> ids) { return Row(ids); }
 
 TEST(SliceOp, OffsetLimitAndStopContract) {
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* slice = pipe.Make<SliceOp>(2, 3, collect, &pipe.state);
   EmitResult last = EmitResult::kContinue;
@@ -169,29 +169,29 @@ TEST(SliceOp, OffsetLimitAndStopContract) {
     ++pushed;
   }
   // Rows 0,1 skipped; 2,3,4 delivered; the 5th push returns kStop.
-  EXPECT_EQ(out, (std::vector<Row>{R({2}), R({3}), R({4})}));
+  EXPECT_EQ(out.ToRows(), (std::vector<Row>{R({2}), R({3}), R({4})}));
   EXPECT_EQ(pushed, 5);
   EXPECT_EQ(last, EmitResult::kStop);
 }
 
 TEST(DistinctOp, DropsDuplicatesKeepsFirst) {
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* distinct = pipe.Make<DistinctOp>(collect, &pipe.state);
   for (TermId i : {1u, 2u, 1u, 3u, 2u, 1u}) distinct->Push(R({i}));
-  EXPECT_EQ(out, (std::vector<Row>{R({1}), R({2}), R({3})}));
+  EXPECT_EQ(out.ToRows(), (std::vector<Row>{R({1}), R({2}), R({3})}));
   EXPECT_EQ(distinct->rows_in(), 6u);
   EXPECT_EQ(distinct->rows_out(), 3u);
 }
 
 TEST(ProjectOp, NarrowsColumns) {
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* project = pipe.Make<ProjectOp>(std::vector<int>{2, 0}, collect, &pipe.state);
   project->Push(R({10, 11, 12}));
-  EXPECT_EQ(out, (std::vector<Row>{R({12, 10})}));
+  EXPECT_EQ(out.ToRows(), (std::vector<Row>{R({12, 10})}));
 }
 
 TEST(FilterOp, DropsFailingRows) {
@@ -204,18 +204,18 @@ TEST(FilterOp, DropsFailingRows) {
       FilterExpr::MakeLiteral(Term::TypedLiteral("5", rdf::vocab::kXsdInteger)));
 
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* filter = pipe.Make<FilterOp>("Filter", eval, std::vector<const FilterExpr*>{&gt},
                                      collect, &pipe.state);
   for (TermId id : fx.nums) filter->Push(R({id}));
   ASSERT_EQ(out.size(), 4u);  // 6,7,8,9
-  EXPECT_EQ(out.front(), R({fx.nums[6]}));
+  EXPECT_EQ(out.ToRows().front(), R({fx.nums[6]}));
 }
 
 TEST(GuardOp, RowBudgetTripsWithErrorAndStop) {
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* guard = pipe.Make<GuardOp>(3, collect, &pipe.state);
   EmitResult last = EmitResult::kContinue;
@@ -232,7 +232,7 @@ TEST(GuardOp, CancelTokenTripsOnPeriodicProbe) {
   Pipeline pipe;
   std::atomic<bool> cancel{true};
   pipe.state.control.cancel = &cancel;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* guard = pipe.Make<GuardOp>(std::numeric_limits<uint64_t>::max(), collect, &pipe.state);
   EmitResult last = EmitResult::kContinue;
@@ -251,7 +251,7 @@ TEST(GuardOp, ExpiredDeadlineTrips) {
   Pipeline pipe;
   pipe.state.control.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* guard = pipe.Make<GuardOp>(std::numeric_limits<uint64_t>::max(), collect, &pipe.state);
   EmitResult last = EmitResult::kContinue;
@@ -295,7 +295,7 @@ TEST(OrderByOp, SortsStablyAndHonoursStopWhileFlushing) {
 TEST(TopKOp, BoundedHeapEqualsStableSortTruncation) {
   Fixture fx(100);
   Pipeline pipe;
-  std::vector<Row> topk_out, sort_out;
+  RowBatch topk_out, sort_out;
   auto* topk_collect = pipe.Make<CollectOp>(&topk_out, &pipe.state);
   auto* topk = pipe.Make<TopKOp>(KeysOn(fx, {0}, {true}), 5, topk_collect, &pipe.state);
   auto* sort_collect = pipe.Make<CollectOp>(&sort_out, &pipe.state);
@@ -309,8 +309,9 @@ TEST(TopKOp, BoundedHeapEqualsStableSortTruncation) {
   }
   ASSERT_TRUE(topk->Finish().ok());
   ASSERT_TRUE(order->Finish().ok());
-  sort_out.resize(5);
-  EXPECT_EQ(topk_out, sort_out);
+  std::vector<Row> sorted = sort_out.ToRows();
+  sorted.resize(5);
+  EXPECT_EQ(topk_out.ToRows(), sorted);
   // And the heap never held more than its cap.
   EXPECT_LE(pipe.state.peak_buffered, 100u);
 }
@@ -318,12 +319,12 @@ TEST(TopKOp, BoundedHeapEqualsStableSortTruncation) {
 TEST(TopKOp, DescendingWithNumericKeys) {
   Fixture fx;
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* topk = pipe.Make<TopKOp>(KeysOn(fx, {0}, {false}), 2, collect, &pipe.state);
   for (TermId i : {3u, 9u, 1u, 7u}) topk->Push(R({fx.nums[i]}));
   ASSERT_TRUE(topk->Finish().ok());
-  EXPECT_EQ(out, (std::vector<Row>{R({fx.nums[9]}), R({fx.nums[7]})}));
+  EXPECT_EQ(out.ToRows(), (std::vector<Row>{R({fx.nums[9]}), R({fx.nums[7]})}));
 }
 
 TEST(CompareTermsFn, MixedTypesFormAStrictWeakOrdering) {
@@ -338,14 +339,15 @@ TEST(CompareTermsFn, MixedTypesFormAStrictWeakOrdering) {
   EXPECT_GT(CompareTerms(fx.dict, nullptr, abc, fx.nums[39]), 0);
 
   Pipeline pipe;
-  std::vector<Row> out;
-  auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
+  RowBatch collected;
+  auto* collect = pipe.Make<CollectOp>(&collected, &pipe.state);
   auto* order = pipe.Make<OrderByOp>(KeysOn(fx, {0}, {true}), collect, &pipe.state);
   for (uint32_t i = 0; i < 40; ++i) {
     order->Push(R({fx.nums[(i * 17 + 5) % 40]}));
     order->Push(R({i % 2 ? z1 : abc}));
   }
   ASSERT_TRUE(order->Finish().ok());
+  std::vector<Row> out = collected.ToRows();
   ASSERT_EQ(out.size(), 80u);
   for (size_t i = 0; i + 1 < out.size(); ++i)
     EXPECT_LE(CompareTerms(fx.dict, nullptr, out[i][0], out[i + 1][0]), 0) << i;
@@ -368,14 +370,15 @@ TEST(CompareTermsFn, NaNLiteralDemotesToLexicalRank) {
             -CompareTerms(fx.dict, nullptr, abc, nan));
 
   Pipeline pipe;
-  std::vector<Row> out;
-  auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
+  RowBatch collected;
+  auto* collect = pipe.Make<CollectOp>(&collected, &pipe.state);
   auto* order = pipe.Make<OrderByOp>(KeysOn(fx, {0}, {true}), collect, &pipe.state);
   for (int i = 0; i < 30; ++i) {
     order->Push(R({fx.nums[static_cast<size_t>(i) % 10]}));
     order->Push(R({nan}));
   }
   ASSERT_TRUE(order->Finish().ok());
+  std::vector<Row> out = collected.ToRows();
   ASSERT_EQ(out.size(), 60u);
   for (size_t i = 30; i < 60; ++i) EXPECT_EQ(out[i][0], nan);  // numbers first
 }
@@ -389,7 +392,7 @@ TEST(RowOpFinish, FlushErrorSuppressesDownstreamFlush) {
   std::atomic<bool> cancel{false};
   pipe.state.control.cancel = &cancel;
 
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* order = pipe.Make<OrderByOp>(KeysOn(fx, {0}, {true}), collect, &pipe.state);
   AggSpec spec;
@@ -618,7 +621,7 @@ TEST(BgpSourceOp, SolverErrorBecomesExecStateError) {
   Pipeline pipe;
   std::atomic<bool> cancel{true};
   pipe.state.control.cancel = &cancel;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* src = pipe.Make<BgpSource>(solver, vars, bgp, std::vector<const FilterExpr*>{},
                                    collect, &pipe.state);
@@ -653,7 +656,7 @@ TEST(UnionOpTest, ConcatenatesBranchesPerRowAndStops) {
 TEST(OptionalOpTest, ExtendsOrFallsBackExactlyOnce) {
   Fixture fx;
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* opt = pipe.Make<OptionalOp>(collect, &pipe.state);
   // The branch extends rows whose first cell is even, twice.
@@ -671,7 +674,7 @@ TEST(OptionalOpTest, ExtendsOrFallsBackExactlyOnce) {
   opt->SetBranch(relay);
   opt->Push(R({2, kInvalidId}));
   opt->Push(R({3, kInvalidId}));
-  EXPECT_EQ(out, (std::vector<Row>{R({2, 100}), R({2, 200}), R({3, kInvalidId})}));
+  EXPECT_EQ(out.ToRows(), (std::vector<Row>{R({2, 100}), R({2, 200}), R({3, kInvalidId})}));
 }
 
 TEST(OptionalOpTest, StopMidExtensionSuppressesFallback) {
@@ -695,7 +698,7 @@ TEST(OptionalOpTest, StopMidExtensionSuppressesFallback) {
 
 TEST(ExplainChainFn, RendersCountsAndSubChains) {
   Pipeline pipe;
-  std::vector<Row> out;
+  RowBatch out;
   auto* collect = pipe.Make<CollectOp>(&out, &pipe.state);
   auto* u = pipe.Make<UnionOp>(1, collect, &pipe.state);
   auto* relay =

@@ -3,10 +3,13 @@
 //  * encoders: hand-written golden bytes for JSON and TSV (every term
 //    shape, escapes, unbound cells, separators, footers with and without a
 //    stop cause);
+//  * chunked writer: a chunk far larger than the socket buffer arrives
+//    intact through partial sendmsg writes;
 //  * protocol: JSON/TSV result encoding matches Executor::Execute row for
 //    row; X-Plan-Cache miss-then-hit with identical rows; malformed queries
 //    get a 400 whose body carries the parse error; per-request deadline maps
-//    to 408 before the first row and an in-body stop marker after it, and a
+//    to 408 before the first row and an in-body stop marker after it, a row
+//    budget is a 200 with the marker even before the first row, and a
 //    request can tighten the server's deadline but never lift or loosen it;
 //  * live store: a cached plan keeps hitting across POST /update and
 //    answers with the updated rows;
@@ -19,6 +22,8 @@
 //    engine, every response row-identical to the materialized reference.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -189,6 +194,43 @@ TEST(ResultEncoderGolden, JsonNoRowsAndAllUnbound) {
   body += enc->EncodeRow(vars, {kInvalidId}, dict, nullptr);
   body += enc->EncodeRow(vars, {kInvalidId}, dict, nullptr);
   EXPECT_EQ(body, "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[\n{},\n{}");
+}
+
+// ---------------------------------------------------------------------------
+// Chunked writer: one sendmsg per chunk, resumed across partial writes.
+// ---------------------------------------------------------------------------
+
+TEST(HttpChunkedWriter, LargeChunkSurvivesPartialWrites) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  // A tiny non-blocking send buffer: no single sendmsg can take the 1.5 MB
+  // chunk, so the writer must advance its iovecs past partial writes.
+  int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf), 0);
+  ASSERT_EQ(::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL) | O_NONBLOCK), 0);
+  std::string payload(1536 * 1024, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<char>('a' + i % 23);
+
+  HttpResponse resp;
+  util::Status read_status;
+  std::thread reader([&] {
+    std::string leftover;
+    read_status = ReadHttpResponse(sv[1], &resp, &leftover);
+  });
+  HttpResponseWriter w(sv[0]);
+  EXPECT_TRUE(w.BeginChunked(200, "text/plain", {}, "X-Done"));
+  EXPECT_TRUE(w.Chunk(payload));
+  EXPECT_TRUE(w.Chunk("tail"));
+  EXPECT_TRUE(w.EndChunked({{"X-Done", "yes"}}));
+  ::shutdown(sv[0], SHUT_WR);  // a failed writer must not leave the reader waiting
+  reader.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+
+  ASSERT_TRUE(read_status.ok()) << read_status.message();
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_TRUE(resp.body == payload + "tail") << "decoded body differs";
+  EXPECT_EQ(resp.headers["x-done"], "yes");
 }
 
 TEST_F(ServerProtocolTest, TsvBodyMatchesMaterializedReference) {
@@ -588,6 +630,31 @@ TEST(ServerLimits, RowBudgetStopCarriesInBodyMarkerAndTrailer) {
   EXPECT_EQ(resp.status, 200);  // the stream had already begun
   EXPECT_NE(resp.body.find("# stopped: row budget"), std::string::npos) << resp.body;
   EXPECT_EQ(resp.headers["x-stop-cause"], "row budget");  // chunked trailer
+  server.Stop();
+}
+
+TEST(ServerLimits, RowBudgetBeforeFirstRowIsEmpty200WithMarker) {
+  // ORDER BY buffers every row before delivering one, so the budget trips
+  // before the first row: that is still a budget stop, not a failure.
+  rdf::Dataset ds = TinyData();
+  GateSolver solver(ds.dict(), 100'000, /*gated=*/false);
+  QueryEngine engine(&solver);
+  SparqlServer server(&engine, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string query =
+      "&budget=100&query=SELECT%20?s%20?o%20WHERE%20%7B%20?s%20%3Chttp://x/p%3E%20?o"
+      "%20.%20%7D%20ORDER%20BY%20?s";
+  HttpResponse tsv;
+  ASSERT_TRUE(HttpGet(server.port(), "/sparql?format=tsv" + query, &tsv).ok());
+  EXPECT_EQ(tsv.status, 200) << tsv.body;
+  EXPECT_EQ(tsv.body, "?s\t?o\n# stopped: row budget\n");
+  EXPECT_EQ(tsv.headers["x-stop-cause"], "row budget");
+  HttpResponse json;
+  ASSERT_TRUE(HttpGet(server.port(), "/sparql?format=json" + query, &json).ok());
+  EXPECT_EQ(json.status, 200) << json.body;
+  EXPECT_EQ(json.body,
+            "{\"head\":{\"vars\":[\"s\",\"o\"]},\"results\":{\"bindings\":[\n\n]},"
+            "\"stopped\":\"row budget\"}\n");
   server.Stop();
 }
 

@@ -11,7 +11,9 @@
 //    through Cursor::status() with the original message and a distinct
 //    stop_cause, distinguishable from row-budget / deadline / cancel stops;
 //  * deadline expiry is observed while blocked on either channel end;
-//  * parity: streaming drains match materialized Execute row-for-row.
+//  * parity: streaming drains match materialized Execute row-for-row, also
+//    when a row budget or LIMIT stops the producer mid-batch and when rows
+//    are zero-width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -217,6 +219,72 @@ TEST(StreamingBackpressure, LimitZeroEndsImmediately) {
   EXPECT_TRUE(cursor.value().status().ok());
   EXPECT_EQ(cursor.value().stop_cause(), StopCause::kNone);
   EXPECT_EQ(solver.emitted(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Batched delivery edges: rows travel the channel in batches (the first row
+// alone, then capacity/4 rows each), so every early stop must still flush the
+// open partial batch, and zero-width rows must still count.
+// ---------------------------------------------------------------------------
+
+std::vector<Row> DrainAll(Cursor* cursor) {
+  std::vector<Row> rows;
+  Row row;
+  while (cursor->Next(&row)) rows.push_back(row);
+  return rows;
+}
+
+TEST(StreamingBatches, BudgetAndLimitStopsDeliverTheMaterializedRows) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 1000);
+  QueryEngine engine(&solver);
+  // Neither 37 nor 42 fills a whole number of batches at capacity 8 (2-row
+  // batches after the first row) and 64 (16-row batches).
+  ExecOptions budget;
+  budget.row_budget = 37;
+  struct Case {
+    std::string query;
+    ExecOptions opts;
+    size_t rows;
+    StopCause cause;
+  } cases[] = {
+      {kPairQuery, budget, 37, StopCause::kRowBudget},
+      {"SELECT ?s ?o WHERE { ?s <http://x/p> ?o . } LIMIT 42", {}, 42, StopCause::kNone},
+  };
+  for (Case& c : cases) {
+    auto mat = engine.Open(c.query, c.opts);
+    ASSERT_TRUE(mat.ok());
+    const std::vector<Row> expect = DrainAll(&mat.value());
+    ASSERT_EQ(expect.size(), c.rows) << c.query;
+    EXPECT_EQ(mat.value().stop_cause(), c.cause) << c.query;
+    for (uint32_t capacity : {1u, 8u, 64u}) {
+      ExecOptions opts = c.opts;
+      opts.streaming = true;
+      opts.channel_capacity = capacity;
+      auto cursor = engine.Open(c.query, opts);
+      ASSERT_TRUE(cursor.ok());
+      EXPECT_EQ(DrainAll(&cursor.value()), expect) << c.query << " capacity " << capacity;
+      EXPECT_EQ(cursor.value().stop_cause(), c.cause) << c.query << " capacity " << capacity;
+      EXPECT_EQ(cursor.value().status().ok(), mat.value().status().ok());
+    }
+  }
+}
+
+TEST(StreamingBatches, ZeroWidthRowsStreamTheRightCount) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 100);
+  QueryEngine engine(&solver);
+  // A ground pattern binds no variable: every solution is a zero-width row.
+  const std::string q = "SELECT * WHERE { <http://x/s0> <http://x/p> <http://x/o0> . }";
+  auto mat = engine.Open(q);
+  ASSERT_TRUE(mat.ok());
+  EXPECT_EQ(DrainAll(&mat.value()), std::vector<Row>(100));
+  for (uint32_t capacity : {1u, 8u, 64u}) {
+    auto cursor = engine.Open(q, Streaming(capacity));
+    ASSERT_TRUE(cursor.ok());
+    EXPECT_EQ(DrainAll(&cursor.value()), std::vector<Row>(100)) << "capacity " << capacity;
+    EXPECT_TRUE(cursor.value().status().ok());
+  }
 }
 
 // ---------------------------------------------------------------------------
