@@ -628,9 +628,8 @@ using RowChannel = util::Channel<RowBatch, BatchRows>;
 /// (ExecOptions::channel_capacity): batches of max(1, capacity/4) rows in
 /// (capacity + 2 - 2*rows) / rows channel slots. The queued rows then never
 /// exceed `capacity`, and queued rows plus one batch in the producer's hand
-/// plus one in the consumer's never exceed capacity + 2 — the in-flight
-/// bounds a per-row channel of `capacity` slots had. Capacities below 8
-/// give one-row batches, i.e. exactly the per-row channel.
+/// plus one in the consumer's never exceed capacity + 2. Capacities below 8
+/// give one-row batches in `capacity` slots.
 struct DeliveryBatching {
   size_t rows;   ///< rows per full batch
   size_t slots;  ///< channel capacity, in batches

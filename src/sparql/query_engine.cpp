@@ -733,7 +733,7 @@ std::string Cursor::Explain() {
   // A still-running streaming producer is mutating the per-operator counts,
   // so never render the live tree mid-stream. Instead render the snapshot
   // the producer publishes at every delivery boundary: a mutually consistent
-  // copy of all counters taken just before a row was handed to the channel.
+  // copy of all counters taken just before a batch was handed to the channel.
   // producer_done is a release store after the pipeline's last write, so
   // once observed the live tree is stable even before Settle runs.
   if (s.opts.streaming && !s.producer_done.load(std::memory_order_acquire)) {
@@ -745,7 +745,7 @@ std::string Cursor::Explain() {
     ExplainCounts counts;
     for (size_t i = 0; i < s.pipe.ops.size() && i < s.explain_snapshot.size(); ++i)
       counts[s.pipe.ops[i].get()] = s.explain_snapshot[i];
-    return "(streaming snapshot at last delivered row; counts still advancing)\n" +
+    return "(streaming snapshot at last delivered batch; counts still advancing)\n" +
            ExplainChain(s.pipe.head, &counts);
   }
   if (!s.pipe.head) return "(not executed: empty LIMIT or pre-run stop)\n";

@@ -10,8 +10,8 @@
 // operators.hpp): Prepare plans the query once, Open instantiates the
 // operator chain — BgpSource / UnionOp / OptionalOp / FilterOp / GuardOp /
 // GroupAggregateOp / ProjectOp / DistinctOp / OrderByOp / TopKOp / SliceOp
-// — and the Cursor drains its root. Rows flow one at a time with a kStop
-// backchannel that unwinds all the way into the TurboHOM++ Matcher's
+// — and the Cursor drains its root. Rows flow through the operators one at
+// a time with a kStop backchannel that unwinds all the way into the TurboHOM++ Matcher's
 // SubgraphSearch (sequential and parallel), so a LIMIT-k query without
 // ORDER BY enumerates only as much of the solution space as k rows require
 // — the paper's "answer within the budget" behaviour rather than
@@ -84,8 +84,11 @@ struct ExecOptions {
   /// cursor tears the enumeration down. When false (the default) the cursor
   /// materializes the delivered set on first use, exactly as before.
   bool streaming = false;
-  /// Delivery-channel capacity (rows in flight) for streaming mode; a full
-  /// channel blocks the producer (backpressure). Clamped to >= 1.
+  /// Delivery-channel capacity for streaming mode, in rows (clamped to
+  /// >= 1); a full channel blocks the producer (backpressure). Rows cross
+  /// the channel in batches derived from it (sparql::DeliveryBatching: the
+  /// first row alone, then max(1, capacity/4)-row batches), sized so the
+  /// channel never queues more than `channel_capacity` rows.
   uint32_t channel_capacity = 64;
   /// Pre-built per-execution vocab (computed/overlay terms). The live store
   /// passes a vocab chained to its shared term overlay so row cells carrying
@@ -201,9 +204,9 @@ class Cursor {
   /// if it has not run yet. While a streaming producer is still running,
   /// this renders the stable snapshot the producer publishes at every
   /// delivery boundary — a mutually consistent copy of all counters as of
-  /// the last row handed to the delivery channel (prefixed with a note that
-  /// counts are still advancing) — and the final counts once the stream
-  /// ends or the producer has finished.
+  /// the last batch handed to the delivery channel (prefixed with a note
+  /// that counts are still advancing) — and the final counts once the
+  /// stream ends or the producer has finished.
   std::string Explain();
 
  private:

@@ -190,6 +190,22 @@ TEST(Channel, FifoOrderWithinCapacity) {
   EXPECT_EQ(ch.peak_size(), 4u);
 }
 
+TEST(Channel, PeakCountsWeightNotItems) {
+  // Capacity counts items (batch slots); the peak counts their weight (rows).
+  struct Length {
+    size_t operator()(const std::string& s) const { return s.size(); }
+  };
+  using BatchChannel = Channel<std::string, Length>;
+  BatchChannel ch(2);
+  EXPECT_EQ(ch.Push("abc", kNeverAbort), BatchChannel::Op::kOk);
+  EXPECT_EQ(ch.Push("de", kNeverAbort), BatchChannel::Op::kOk);
+  std::string v;
+  EXPECT_EQ(ch.Pop(&v, kNeverAbort), BatchChannel::Op::kOk);
+  EXPECT_EQ(ch.Push("f", kNeverAbort), BatchChannel::Op::kOk);
+  EXPECT_EQ(ch.peak_size(), 5u);  // "abc" + "de"; "de" + "f" is only 3
+  EXPECT_EQ(ch.size(), 2u);
+}
+
 TEST(Channel, ZeroCapacityClampsToOne) {
   IntChannel ch(0);
   EXPECT_EQ(ch.capacity(), 1u);
