@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/data_graph.hpp"
+#include "graph/graph_snapshot.hpp"
 #include "rdf/reasoner.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
+#include "workload/lubm.hpp"
 
 namespace turbo::graph {
 namespace {
@@ -272,6 +279,110 @@ TEST(QueryGraphBasics, IncidenceDirections) {
   ASSERT_EQ(q.incident(b).size(), 1u);
   EXPECT_EQ(q.incident(b)[0].dir, Direction::kIn);
   EXPECT_EQ(q.degree(a), 1u);
+}
+
+// ---- Golden graph bytes. ----
+//
+// The serialized graph is a pure function of the dataset's triple set and
+// dictionary: these digests pin it for a fixed-seed LUBM-1 so any change to
+// GraphBuilder that alters a single byte of any structure (ids, group order,
+// neighbour order, offsets, signatures, packed streams) fails here.
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+const rdf::Dataset& GoldenLubm() {
+  static const rdf::Dataset ds = [] {
+    workload::LubmConfig cfg;
+    cfg.num_universities = 1;
+    cfg.seed = 7;
+    return workload::GenerateLubmClosed(cfg);
+  }();
+  return ds;
+}
+
+uint64_t GraphDigest(const DataGraph& g) {
+  std::string bytes;
+  SerializeDataGraph(g, &bytes);
+  return Fnv1a64(bytes);
+}
+
+struct GoldenCase {
+  TransformMode mode;
+  StorageMode storage;
+  uint64_t digest;
+};
+
+constexpr GoldenCase kGoldenCases[] = {
+    {TransformMode::kDirect, StorageMode::kUncompressed, 0x24fed1c1817cc5e8ULL},
+    {TransformMode::kDirect, StorageMode::kCompressed, 0x5d833923955803c7ULL},
+    {TransformMode::kTypeAware, StorageMode::kUncompressed, 0xf6188af655099135ULL},
+    {TransformMode::kTypeAware, StorageMode::kCompressed, 0xea057abfb06fda8bULL},
+};
+
+TEST(GoldenGraph, SerializedBytesMatchDigest) {
+  const rdf::Dataset& ds = GoldenLubm();
+  ASSERT_GT(ds.size(), 100000u);
+  for (const GoldenCase& c : kGoldenCases) {
+    DataGraph g = DataGraph::Build(ds, c.mode, c.storage);
+    EXPECT_EQ(GraphDigest(g), c.digest)
+        << "mode=" << static_cast<int>(c.mode) << " storage=" << static_cast<int>(c.storage)
+        << " digest=0x" << std::hex << GraphDigest(g);
+  }
+}
+
+/// Shuffles `v` in place (Fisher-Yates over the deterministic Rng).
+void Shuffle(std::vector<rdf::Triple>* v, util::Rng* rng) {
+  for (size_t i = v->size(); i > 1; --i) std::swap((*v)[i - 1], (*v)[rng->Below(i)]);
+}
+
+/// Builds through GraphBuilder with each region split into `chunks` Appends.
+DataGraph BuildChunked(const rdf::Dataset& ds, const std::vector<rdf::Triple>& original,
+                       const std::vector<rdf::Triple>& inferred, size_t chunks,
+                       TransformMode mode, StorageMode storage) {
+  GraphBuilder builder(ds.dict(), mode, storage);
+  auto feed = [&](const std::vector<rdf::Triple>& region, bool is_inferred) {
+    const size_t step = (region.size() + chunks - 1) / chunks;
+    for (size_t b = 0; b < region.size(); b += step)
+      builder.Append({region.data() + b, std::min(step, region.size() - b)}, is_inferred);
+  };
+  feed(original, /*is_inferred=*/false);
+  feed(inferred, /*is_inferred=*/true);
+  return builder.Finish();
+}
+
+TEST(GoldenGraph, BytesIndependentOfInputOrderDuplicatesAndChunking) {
+  const rdf::Dataset& ds = GoldenLubm();
+  const auto& triples = ds.triples();
+  util::Rng rng(20261017);
+  // Each region shuffled on its own (the original/inferred boundary decides
+  // L_simple), with ~10% of its triples appended again as duplicates.
+  auto perturb = [&](size_t begin, size_t end) {
+    std::vector<rdf::Triple> region(triples.begin() + begin, triples.begin() + end);
+    const size_t n = region.size();
+    for (size_t i = 0; i < n; ++i)
+      if (rng.Below(10) == 0) region.push_back(region[i]);
+    Shuffle(&region, &rng);
+    return region;
+  };
+  const std::vector<rdf::Triple> original = perturb(0, ds.num_original());
+  const std::vector<rdf::Triple> inferred = perturb(ds.num_original(), triples.size());
+  ASSERT_GT(original.size() + inferred.size(), triples.size());
+
+  for (const GoldenCase& c : kGoldenCases) {
+    for (size_t chunks : {1, 7}) {
+      DataGraph g = BuildChunked(ds, original, inferred, chunks, c.mode, c.storage);
+      EXPECT_EQ(GraphDigest(g), c.digest)
+          << "mode=" << static_cast<int>(c.mode)
+          << " storage=" << static_cast<int>(c.storage) << " chunks=" << chunks;
+    }
+  }
 }
 
 }  // namespace
