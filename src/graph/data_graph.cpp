@@ -11,13 +11,33 @@ namespace turbo::graph {
 
 namespace {
 
-/// CSR helper: builds offsets from sorted (key, ...) rows.
-template <typename Row, typename KeyFn>
-std::vector<uint32_t> BuildOffsets(const std::vector<Row>& rows, size_t num_keys, KeyFn key) {
-  std::vector<uint32_t> offsets(num_keys + 1, 0);
-  for (const Row& r : rows) ++offsets[key(r) + 1];
-  for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-  return offsets;
+/// One stable counting-sort pass: reorders `items` by `key` (< num_keys),
+/// keeping the relative order of equal keys, through `scratch`. Chained
+/// least-significant key first, these passes are an O(n + num_keys) LSD
+/// radix sort.
+template <typename T, typename KeyFn>
+void CountingSortBy(std::vector<T>* items, std::vector<T>* scratch, size_t num_keys,
+                    KeyFn key) {
+  std::vector<uint32_t> next(num_keys + 1, 0);
+  for (const T& x : *items) ++next[key(x) + 1];
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  scratch->resize(items->size());
+  for (const T& x : *items) (*scratch)[next[key(x)]++] = x;
+  items->swap(*scratch);
+}
+
+/// Builds a CSR (offsets over keys [0, num_keys), values) by a counting
+/// scatter. `visit(emit)` must call emit(key, value) for every entry, in
+/// the same order both times it runs; values within a key keep that order.
+template <typename Visit>
+void ScatterCsr(size_t num_keys, Visit visit, std::vector<uint32_t>* offsets,
+                std::vector<uint32_t>* values) {
+  offsets->assign(num_keys + 1, 0);
+  visit([&](uint32_t key, uint32_t) { ++(*offsets)[key + 1]; });
+  for (size_t k = 1; k < offsets->size(); ++k) (*offsets)[k] += (*offsets)[k - 1];
+  values->resize(offsets->back());
+  std::vector<uint32_t> next(offsets->begin(), offsets->end() - 1);
+  visit([&](uint32_t key, uint32_t value) { (*values)[next[key]++] = value; });
 }
 
 inline LabelId GroupLabel(const DataGraph::ElGroup&) { return kInvalidId; }
@@ -132,10 +152,15 @@ DataGraph GraphBuilder::Finish() {
   const uint32_t num_labels = static_cast<uint32_t>(g.label_terms_.size());
   const uint32_t num_els = static_cast<uint32_t>(g.el_terms_.size());
 
-  // ---- Deduplicate edges. ----
-  std::sort(edges.begin(), edges.end(), [](const EdgeTriple& a, const EdgeTriple& b) {
-    return std::tie(a.s, a.el, a.o) < std::tie(b.s, b.el, b.o);
-  });
+  // Every sort below is a stable counting pass over a dense id range, so
+  // the build is O(E + n + labels) and each array is sized exactly before
+  // it is filled.
+
+  // ---- Deduplicate edges: LSD passes by o, el, s give (s, el, o) order. ----
+  std::vector<EdgeTriple> scratch;
+  CountingSortBy(&edges, &scratch, n, [](const EdgeTriple& e) { return e.o; });
+  CountingSortBy(&edges, &scratch, num_els, [](const EdgeTriple& e) { return e.el; });
+  CountingSortBy(&edges, &scratch, n, [](const EdgeTriple& e) { return e.s; });
   edges.erase(std::unique(edges.begin(), edges.end(),
                           [](const EdgeTriple& a, const EdgeTriple& b) {
                             return a.s == b.s && a.el == b.el && a.o == b.o;
@@ -143,33 +168,59 @@ DataGraph GraphBuilder::Finish() {
               edges.end());
   g.num_edges_ = edges.size();
 
-  // ---- Vertex label CSRs. ----
+  // ---- Vertex label CSRs: LSD passes by label, then vertex. ----
   auto build_label_csr = [&](std::vector<std::pair<VertexId, LabelId>>& pairs,
                              std::vector<uint32_t>* offsets, std::vector<LabelId>* flat) {
-    std::sort(pairs.begin(), pairs.end());
+    std::vector<std::pair<VertexId, LabelId>> tmp;
+    CountingSortBy(&pairs, &tmp, num_labels, [](const auto& p) { return p.second; });
+    CountingSortBy(&pairs, &tmp, n, [](const auto& p) { return p.first; });
     pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-    *offsets = BuildOffsets(pairs, n, [](const auto& p) { return p.first; });
-    flat->resize(pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) (*flat)[i] = pairs[i].second;
+    ScatterCsr(
+        n, [&](auto emit) { for (const auto& [v, l] : pairs) emit(v, l); }, offsets, flat);
   };
   build_label_csr(label_pairs_, &g.label_offsets_, &g.labels_);
   build_label_csr(simple_label_pairs_, &g.simple_label_offsets_, &g.simple_labels_);
 
-  // ---- Inverse vertex-label list. ----
+  // ---- Inverse vertex-label list: vertices visited ascending. ----
+  ScatterCsr(
+      num_labels,
+      [&](auto emit) {
+        for (VertexId v = 0; v < n; ++v)
+          for (LabelId l : g.labels(v)) emit(l, v);
+      },
+      &g.inv_label_offsets_, &g.inv_label_vertices_);
+
+  // ---- Adjacency. ----
+  // Out rows are the sorted edges themselves. In rows swap the endpoints;
+  // they are then already ordered by neighbour, so stable passes by el and
+  // then by vertex give (v, el, nbr) order.
+  BuildAdjDir(g, edges, n, &g.out_);
   {
-    std::vector<std::pair<LabelId, VertexId>> inv;
-    inv.reserve(g.labels_.size());
-    for (VertexId v = 0; v < n; ++v)
-      for (LabelId l : g.labels(v)) inv.emplace_back(l, v);
-    std::sort(inv.begin(), inv.end());
-    g.inv_label_offsets_ = BuildOffsets(inv, num_labels, [](const auto& p) { return p.first; });
-    g.inv_label_vertices_.resize(inv.size());
-    for (size_t i = 0; i < inv.size(); ++i) g.inv_label_vertices_[i] = inv[i].second;
+    std::vector<EdgeTriple> in_rows(edges.size());
+    for (size_t i = 0; i < edges.size(); ++i)
+      in_rows[i] = {edges[i].o, edges[i].el, edges[i].s};
+    edges = std::vector<EdgeTriple>();
+    CountingSortBy(&in_rows, &scratch, num_els, [](const EdgeTriple& e) { return e.el; });
+    CountingSortBy(&in_rows, &scratch, n, [](const EdgeTriple& e) { return e.s; });
+    scratch = std::vector<EdgeTriple>();
+    BuildAdjDir(g, in_rows, n, &g.in_);
   }
 
-  // ---- Adjacency (out, then in by swapping endpoints). ----
-  BuildAdjDir(g, edges, n, /*out=*/true, &g.out_);
-  BuildAdjDir(g, edges, n, /*out=*/false, &g.in_);
+  // ---- Predicate index: each vertex's el-groups are distinct, so visiting
+  // vertices ascending yields sorted, duplicate-free lists per edge label. ----
+  auto build_pred_index = [&](const DataGraph::AdjDir& a, std::vector<uint32_t>* offsets,
+                              std::vector<VertexId>* flat) {
+    ScatterCsr(
+        num_els,
+        [&](auto emit) {
+          for (VertexId v = 0; v < n; ++v)
+            for (uint32_t k = a.el_group_offsets[v]; k < a.el_group_offsets[v + 1]; ++k)
+              emit(a.el_groups[k].el, v);
+        },
+        offsets, flat);
+  };
+  build_pred_index(g.out_, &g.pred_subj_offsets_, &g.pred_subjects_);
+  build_pred_index(g.in_, &g.pred_obj_offsets_, &g.pred_objects_);
 
   // Signatures derive from group metadata only, so they are identical across
   // storage modes and must be built before the value arrays are replaced.
@@ -179,27 +230,6 @@ DataGraph GraphBuilder::Finish() {
     CompressAdjDir(&g.in_);
   }
 
-  // ---- Predicate index. ----
-  {
-    std::vector<std::pair<EdgeLabelId, VertexId>> subj, obj;
-    subj.reserve(edges.size());
-    obj.reserve(edges.size());
-    for (const EdgeTriple& e : edges) {
-      subj.emplace_back(e.el, e.s);
-      obj.emplace_back(e.el, e.o);
-    }
-    auto finish = [&](std::vector<std::pair<EdgeLabelId, VertexId>>& pairs,
-                      std::vector<uint32_t>* offsets, std::vector<VertexId>* flat) {
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      *offsets = BuildOffsets(pairs, num_els, [](const auto& p) { return p.first; });
-      flat->resize(pairs.size());
-      for (size_t i = 0; i < pairs.size(); ++i) (*flat)[i] = pairs[i].second;
-    };
-    finish(subj, &g.pred_subj_offsets_, &g.pred_subjects_);
-    finish(obj, &g.pred_obj_offsets_, &g.pred_objects_);
-  }
-
   std::sort(g.schema_subclass_.begin(), g.schema_subclass_.end());
   g.schema_subclass_.erase(
       std::unique(g.schema_subclass_.begin(), g.schema_subclass_.end()),
@@ -207,67 +237,115 @@ DataGraph GraphBuilder::Finish() {
   return std::move(g);
 }
 
-void GraphBuilder::BuildAdjDir(DataGraph& g, const std::vector<EdgeTriple>& edges, uint32_t n,
-                               bool out, DataGraph::AdjDir* dir) {
-    // Edge-label-only rows: (v, el, nbr).
-    std::vector<std::array<uint32_t, 3>> rows;
-    rows.reserve(edges.size());
-    for (const auto& e : edges) {
-      if (out)
-        rows.push_back({e.s, e.el, e.o});
-      else
-        rows.push_back({e.o, e.el, e.s});
-    }
-    std::sort(rows.begin(), rows.end());
+void GraphBuilder::BuildAdjDir(const DataGraph& g, const std::vector<EdgeTriple>& rows,
+                               uint32_t n, DataGraph::AdjDir* dir) {
+  // `rows` are (v, el, nbr) = (s, el, o), sorted and duplicate-free.
+  auto new_group = [&](size_t i) {
+    return i == 0 || rows[i].s != rows[i - 1].s || rows[i].el != rows[i - 1].el;
+  };
 
-    dir->el_nbrs.resize(rows.size());
-    dir->el_group_offsets.assign(n + 1, 0);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      dir->el_nbrs[i] = rows[i][2];
-      bool new_group = i == 0 || rows[i][0] != rows[i - 1][0] || rows[i][1] != rows[i - 1][1];
-      if (new_group)
-        dir->el_groups.push_back(
-            {rows[i][1], static_cast<uint32_t>(i), static_cast<uint32_t>(i + 1)});
-      else
-        dir->el_groups.back().end = static_cast<uint32_t>(i + 1);
-      if (new_group) ++dir->el_group_offsets[rows[i][0] + 1];
+  // ---- Edge-label groups: count, then fill. ----
+  dir->el_group_offsets.assign(n + 1, 0);
+  for (size_t i = 0; i < rows.size(); ++i)
+    if (new_group(i)) ++dir->el_group_offsets[rows[i].s + 1];
+  for (size_t v = 1; v <= n; ++v) dir->el_group_offsets[v] += dir->el_group_offsets[v - 1];
+  dir->el_groups.resize(dir->el_group_offsets[n]);
+  dir->el_nbrs.resize(rows.size());
+  for (size_t i = 0, k = 0; i < rows.size(); ++i) {
+    dir->el_nbrs[i] = rows[i].o;
+    const uint32_t end = static_cast<uint32_t>(i + 1);
+    if (new_group(i))
+      dir->el_groups[k++] = {rows[i].el, static_cast<uint32_t>(i), end};
+    else
+      dir->el_groups[k - 1].end = end;
+  }
+
+  // ---- Neighbour-type groups. ----
+  // One row per (neighbour, label of neighbour). Within an el-group the
+  // neighbours are ascending, so a stable scatter over the group's distinct
+  // labels (sorted, usually a handful) yields (vl, nbr) order.
+  // `stamp[l]` marks label l as seen in el-group k; `next[l]` counts its
+  // rows, then becomes its write cursor.
+  const uint32_t num_labels = static_cast<uint32_t>(g.label_terms_.size());
+  std::vector<uint32_t> stamp(num_labels, kInvalidId);
+  std::vector<uint32_t> next(num_labels);
+  dir->type_group_offsets.assign(n + 1, 0);
+  size_t num_rows = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    for (uint32_t k = dir->el_group_offsets[v]; k < dir->el_group_offsets[v + 1]; ++k) {
+      const DataGraph::ElGroup& grp = dir->el_groups[k];
+      for (uint32_t i = grp.begin; i < grp.end; ++i) {
+        std::span<const LabelId> ls = g.labels(dir->el_nbrs[i]);
+        num_rows += ls.size();
+        for (LabelId l : ls)
+          if (stamp[l] != k) {
+            stamp[l] = k;
+            ++dir->type_group_offsets[v + 1];
+          }
+      }
     }
-    for (size_t i = 1; i < dir->el_group_offsets.size(); ++i)
-      dir->el_group_offsets[i] += dir->el_group_offsets[i - 1];
+  }
+  for (size_t v = 1; v <= n; ++v)
+    dir->type_group_offsets[v] += dir->type_group_offsets[v - 1];
+  dir->type_groups.resize(dir->type_group_offsets[n]);
+  dir->type_nbrs.resize(num_rows);
+
+  std::fill(stamp.begin(), stamp.end(), kInvalidId);
+  std::vector<LabelId> distinct;
+  uint32_t row = 0;
+  size_t t = 0;
+  for (uint32_t k = 0; k < dir->el_groups.size(); ++k) {
+    const DataGraph::ElGroup& grp = dir->el_groups[k];
+    distinct.clear();
+    for (uint32_t i = grp.begin; i < grp.end; ++i)
+      for (LabelId l : g.labels(dir->el_nbrs[i])) {
+        if (stamp[l] != k) {
+          stamp[l] = k;
+          next[l] = 0;
+          distinct.push_back(l);
+        }
+        ++next[l];
+      }
+    std::sort(distinct.begin(), distinct.end());
+    for (LabelId l : distinct) {
+      const uint32_t count = next[l];
+      dir->type_groups[t++] = {grp.el, l, row, row + count};
+      next[l] = row;
+      row += count;
+    }
+    for (uint32_t i = grp.begin; i < grp.end; ++i) {
+      const VertexId nbr = dir->el_nbrs[i];
+      for (LabelId l : g.labels(nbr)) dir->type_nbrs[next[l]++] = nbr;
+    }
+  }
 
 #ifndef NDEBUG
-    // AllNeighborsRaw spans from the first group's begin to the last group's
-    // end, which is only a valid range because a vertex's el-groups cover
-    // one contiguous run of el_nbrs. The grouped row sort above guarantees
-    // it (group k starts where group k-1 ends); any alternative builder that
-    // breaks the invariant must fail here, not corrupt reads later.
+  // AllNeighborsRaw spans from a vertex's first el-group begin to its last
+  // el-group end, which is only a valid range because the vertex's el-groups
+  // cover one contiguous run of el_nbrs; the decoders and lookups rely on
+  // groups sorted by el / (el, vl) with strictly ascending neighbours. The
+  // count/fill passes above lay the arrays out in (v, el[, vl], nbr) order;
+  // any builder that breaks these invariants must fail here, not corrupt
+  // reads later.
+  auto check_groups = [n](const std::vector<uint32_t>& offsets, const auto& groups,
+                          const std::vector<VertexId>& nbrs, auto key) {
+    assert(offsets[n] == groups.size());
+    uint32_t pos = 0;
     for (uint32_t v = 0; v < n; ++v)
-      for (uint32_t k = dir->el_group_offsets[v] + 1; k < dir->el_group_offsets[v + 1];
-           ++k)
-        assert(dir->el_groups[k].begin == dir->el_groups[k - 1].end);
+      for (uint32_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+        assert(groups[k].begin == pos && groups[k].begin < groups[k].end);
+        assert(k == offsets[v] || key(groups[k - 1]) < key(groups[k]));
+        for (uint32_t i = groups[k].begin + 1; i < groups[k].end; ++i)
+          assert(nbrs[i - 1] < nbrs[i]);
+        pos = groups[k].end;
+      }
+    assert(pos == nbrs.size());
+  };
+  check_groups(dir->el_group_offsets, dir->el_groups, dir->el_nbrs,
+               [](const DataGraph::ElGroup& grp) { return grp.el; });
+  check_groups(dir->type_group_offsets, dir->type_groups, dir->type_nbrs,
+               [](const DataGraph::TypeGroup& grp) { return std::pair(grp.el, grp.vl); });
 #endif
-
-    // Neighbour-type rows: (v, el, vl, nbr) — one row per label of nbr.
-    std::vector<std::array<uint32_t, 4>> trows;
-    for (const auto& r : rows) {
-      for (LabelId l : g.labels(r[2])) trows.push_back({r[0], r[1], l, r[2]});
-    }
-    std::sort(trows.begin(), trows.end());
-    dir->type_nbrs.resize(trows.size());
-    dir->type_group_offsets.assign(n + 1, 0);
-    for (size_t i = 0; i < trows.size(); ++i) {
-      dir->type_nbrs[i] = trows[i][3];
-      bool new_group = i == 0 || trows[i][0] != trows[i - 1][0] ||
-                       trows[i][1] != trows[i - 1][1] || trows[i][2] != trows[i - 1][2];
-      if (new_group)
-        dir->type_groups.push_back({trows[i][1], trows[i][2], static_cast<uint32_t>(i),
-                                    static_cast<uint32_t>(i + 1)});
-      else
-        dir->type_groups.back().end = static_cast<uint32_t>(i + 1);
-      if (new_group) ++dir->type_group_offsets[trows[i][0] + 1];
-    }
-    for (size_t i = 1; i < dir->type_group_offsets.size(); ++i)
-      dir->type_group_offsets[i] += dir->type_group_offsets[i - 1];
 }
 
 void GraphBuilder::BuildSignatures(DataGraph& g, uint32_t n) {

@@ -412,8 +412,8 @@ class GraphBuilder {
   };
 
   void ResolveSchemaPredicates();
-  static void BuildAdjDir(DataGraph& g, const std::vector<EdgeTriple>& edges, uint32_t n,
-                          bool out, DataGraph::AdjDir* dir);
+  static void BuildAdjDir(const DataGraph& g, const std::vector<EdgeTriple>& rows,
+                          uint32_t n, DataGraph::AdjDir* dir);
   static void BuildSignatures(DataGraph& g, uint32_t n);
   static void CompressAdjDir(DataGraph::AdjDir* dir);
 
