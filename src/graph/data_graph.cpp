@@ -1,7 +1,6 @@
 #include "graph/data_graph.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 
 #include "rdf/vocabulary.hpp"
@@ -152,9 +151,10 @@ DataGraph GraphBuilder::Finish() {
   const uint32_t num_labels = static_cast<uint32_t>(g.label_terms_.size());
   const uint32_t num_els = static_cast<uint32_t>(g.el_terms_.size());
 
-  // Every sort below is a stable counting pass over a dense id range, so
-  // the build is O(E + n + labels) and each array is sized exactly before
-  // it is filled.
+  // From here on, every reordering of edges, label pairs or adjacency rows
+  // is a stable counting pass over a dense id range, so the rest of the
+  // build is O(E + n + labels), and each array is sized exactly before it
+  // is filled.
 
   // ---- Deduplicate edges: LSD passes by o, el, s give (s, el, o) order. ----
   std::vector<EdgeTriple> scratch;

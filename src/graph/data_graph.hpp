@@ -203,8 +203,8 @@ class DataGraph {
   /// All neighbours of `v` in direction `d`; may contain a vertex multiple
   /// times when connected by several predicates. Zero-copy, uncompressed
   /// mode only. Relies on a vertex's el-groups covering one contiguous range
-  /// of el_nbrs_ — an invariant of GraphBuilder::BuildAdjDir's grouped row
-  /// sort, debug-asserted there.
+  /// of el_nbrs_ — an invariant of GraphBuilder::BuildAdjDir's (v, el, nbr)
+  /// row order, debug-asserted there.
   std::span<const VertexId> AllNeighborsRaw(VertexId v, Direction d) const {
     assert(!compressed());
     const AdjDir& a = adj(d);
@@ -386,7 +386,7 @@ class DataGraph {
 
 /// Incremental DataGraph construction: triples arrive in dataset order as
 /// encoded chunks (classification + id assignment happen per chunk, the CSR
-/// sorts once in Finish). This is what lets the parallel load pipeline fuse
+/// is built once in Finish). This is what lets the parallel load pipeline fuse
 /// graph building into ingestion — each remapped chunk is consumed as soon
 /// as it exists instead of re-scanning the finished dataset. The referenced
 /// dictionary must already contain every id appearing in a chunk at the
@@ -402,6 +402,15 @@ class GraphBuilder {
   void Append(std::span<const rdf::Triple> chunk, bool inferred);
 
   /// Finalizes the CSR structures. The builder is spent afterwards.
+  ///
+  /// O(E) apart from renumbering ids into term-id order (a sort of the
+  /// vertex, label and edge-label terms): every array is then sized by a
+  /// counting pass and filled by a stable counting scatter, with no
+  /// comparison sort over edges or rows. The result is deterministic and
+  /// depends only on the set of triples in each region (original /
+  /// inferred) and on the dictionary: any input order, duplicate triples
+  /// and any split into Append chunks give identical SerializeDataGraph
+  /// bytes.
   DataGraph Finish();
 
  private:
