@@ -283,8 +283,8 @@ TEST(QueryGraphBasics, IncidenceDirections) {
 
 // ---- Golden graph bytes. ----
 //
-// The serialized graph is a pure function of the dataset's triple set and
-// dictionary: these digests pin it for a fixed-seed LUBM-1 so any change to
+// The serialized graph is a pure function of the triple set of each region
+// (original / inferred) and of the dictionary: these digests pin it for a fixed-seed LUBM-1 so any change to
 // GraphBuilder that alters a single byte of any structure (ids, group order,
 // neighbour order, offsets, signatures, packed streams) fails here.
 
