@@ -1,7 +1,7 @@
 // Baseline BGP engines standing in for the paper's competitors (§7.1):
 //
 //  * SortMergeBgpSolver — RDF-3X stand-in: materializes one relation per
-//    triple pattern by an index range scan over the six-permutation store,
+//    triple pattern by an index range scan over the sorted-permutation store,
 //    then joins relations smallest-first (hash joins on shared variables).
 //    Its cost is driven by scan sizes, which grow with the dataset — exactly
 //    the behaviour the paper reports for RDF-3X on the constant-solution

@@ -281,7 +281,10 @@ class MappedFile {
         if (p != MAP_FAILED) {
           data_ = static_cast<const char*>(p);
           size_ = static_cast<size_t>(st.st_size);
-          ::madvise(p, size_, MADV_SEQUENTIAL | MADV_WILLNEED);
+          // One call gives one hint: advice values are not flags
+          // (MADV_SEQUENTIAL | MADV_WILLNEED == 2 | 3 == MADV_WILLNEED).
+          // Read the whole file ahead.
+          ::madvise(p, size_, MADV_WILLNEED);
         }
       } else {
         empty_ok_ = true;

@@ -203,6 +203,8 @@ struct SparqlServer::Impl {
         body += ",\"store\":{\"epoch\":" + std::to_string(ls.epoch) +
                 ",\"updates_applied\":" + std::to_string(ls.updates_applied) +
                 ",\"compactions\":" + std::to_string(ls.compactions) +
+                ",\"compacting\":" + (ls.compacting ? "true" : "false") +
+                ",\"replayed_updates\":" + std::to_string(ls.replayed_updates) +
                 ",\"delta_adds\":" + std::to_string(ls.delta_adds) +
                 ",\"tombstones\":" + std::to_string(ls.tombstones) +
                 ",\"overlay_terms\":" + std::to_string(ls.overlay_terms) +

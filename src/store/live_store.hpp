@@ -8,14 +8,17 @@
 //     dictionary, inference closure, transformed graph / triple index. It is
 //     immutable for its whole lifetime.
 //   * Updates accumulate in a *delta*: the added triples (in their own
-//     six-permutation TripleIndex, rebuilt per batch — the delta is small by
-//     construction) plus a *tombstone* set of deleted base triples. Terms
-//     the base dictionary lacks intern into a shared *overlay* (a LocalVocab
-//     whose ids start at dict.size()), so update-introduced terms flow
-//     through the id-based Row pipeline like stored ones. While the delta is
-//     non-empty, reads run on baseline::IndexJoinBgpSolver over the base
-//     index plus this delta; an empty delta reads through the engine's own
-//     solver.
+//     sorted TripleIndex) plus a sorted *tombstone* set of deleted base
+//     triples. Both are immutable per epoch: a batch decides set semantics
+//     by lookups in the previous epoch's adds and tombstones plus its own
+//     changes, then derives the next ones by one linear merge per sort
+//     order, so publishing costs O(batch) lookups and a copy-merge of the
+//     delta — never a rebuild. Terms the base dictionary lacks intern into a
+//     shared *overlay* (a LocalVocab whose ids start at dict.size()), so
+//     update-introduced terms flow through the id-based Row pipeline like
+//     stored ones. While the delta is non-empty, reads run on
+//     baseline::IndexJoinBgpSolver over the base index plus this delta; an
+//     empty delta reads through the engine's own solver.
 //   * Every applied batch publishes a new immutable Snapshot under a mutex
 //     (epoch N+1). Readers pin the current snapshot at Open(): the cursor
 //     holds shared_ptr ownership of everything the execution touches
@@ -24,10 +27,16 @@
 //     unchanged while epoch N+1 serves new cursors. No reader ever takes the write lock.
 //   * Compaction folds the delta into a fresh Dataset (base minus tombstones
 //     plus adds, overlay terms re-interned in id order so triple ids carry
-//     over verbatim), rebuilds the engine, and publishes an empty-delta
-//     snapshot. It runs on a background thread once the delta crosses
-//     Config::compact_threshold (or synchronously via Compact()). Old
-//     epochs drain naturally as their cursors close.
+//     over verbatim) and rebuilds the engine without holding the write
+//     lock: it pins the current epoch, builds from that pinned epoch alone,
+//     and meanwhile every Apply logs its request. It then retakes the lock,
+//     swaps in the new base and overlay, replays the logged suffix onto
+//     them, and publishes one epoch whose content equals the latest, so
+//     updates never wait for a rebuild and no reader sees an intermediate
+//     state. It runs on a background thread once the delta crosses
+//     Config::compact_threshold (or synchronously via Compact()); a
+//     separate mutex runs one compaction at a time. Old epochs drain
+//     naturally as their cursors close.
 //
 // Consistency contract: inference is not incremental. Inserted triples are
 // visible raw (plus whatever the base closure already entailed); deleting a
@@ -42,6 +51,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,7 +81,8 @@ class LiveStore {
     uint64_t epoch = 0;
     std::shared_ptr<const sparql::QueryEngine> engine;
     /// Base triple index the overlay solver probes; null while the delta is
-    /// empty (built lazily at the first update after a compaction).
+    /// empty (built lazily by the first update after a compaction, or by the
+    /// compaction itself when it has updates to replay).
     std::shared_ptr<const baseline::TripleIndex> base_index;
     /// This epoch's adds, tombstones and term overlay. The overlay is always
     /// set: ids in [engine->dict().size(), delta.overlay_limit) are visible
@@ -110,6 +121,10 @@ class LiveStore {
     size_t tombstones = 0;
     size_t overlay_terms = 0;
     size_t base_triples = 0;  ///< compacted dataset size (original + inferred)
+    bool compacting = false;  ///< a compaction is building off the write lock
+    /// Update requests the last compaction re-homed onto its new base (those
+    /// applied while it was building).
+    uint64_t replayed_updates = 0;
   };
 
   /// Takes the (not yet inference-closed, unless the caller closed it)
@@ -161,16 +176,26 @@ class LiveStore {
   /// Parses SPARQL Update text (INSERT DATA / DELETE DATA) and applies it.
   util::Result<UpdateResult> Update(const std::string& text);
 
-  /// Folds the delta into a freshly built base engine and publishes an
-  /// empty-delta epoch. Runs synchronously; no-op when there is nothing to
-  /// fold. Readers on older epochs are unaffected.
+  /// Folds the delta into a freshly built base engine. The build runs
+  /// without the write lock, so updates proceed meanwhile; those are then
+  /// replayed onto the new base and one epoch equal to the latest is
+  /// published (empty-delta unless updates ran). Returns once published;
+  /// no-op when there is nothing to fold. Readers on older epochs are
+  /// unaffected.
   util::Status Compact();
 
   Stats stats() const;
 
  private:
   void Publish(std::shared_ptr<const Snapshot> snap);
-  util::Status CompactLocked();
+  /// The epoch after `prev` once `requests` are applied to it (caller holds
+  /// write_mu_; `prev` is over the current base and overlay).
+  std::shared_ptr<const Snapshot> ApplyLocked(
+      const Snapshot& prev, std::span<const sparql::UpdateRequest> requests,
+      UpdateResult* result);
+  /// The compacted engine for a pinned epoch; touches no writer state.
+  util::Result<std::shared_ptr<const sparql::QueryEngine>> BuildCompacted(
+      const Snapshot& pinned) const;
   void CompactorLoop();
 
   Config cfg_;
@@ -178,15 +203,21 @@ class LiveStore {
   mutable std::mutex snap_mu_;          // guards snap_ pointer swaps only
   std::shared_ptr<const Snapshot> snap_;
 
-  std::mutex write_mu_;  // serializes Apply/Compact; never taken by readers
+  // Serializes Apply and compaction's pin and swap; never taken by readers.
+  std::mutex write_mu_;
   // Mutated only under write_mu_; snapshots hold const views.
   std::shared_ptr<sparql::LocalVocab> overlay_;
-  std::shared_ptr<const baseline::TripleIndex> base_index_;  // lazy, per base
+  std::shared_ptr<const baseline::TripleIndex> base_index_;  // per base, built on demand
+  std::vector<sparql::UpdateRequest> replay_log_;  // applied while compacting_
+  std::atomic<bool> compacting_{false};  // written under write_mu_
+
+  std::mutex compaction_mu_;  // one compaction at a time (background or Compact())
 
   std::atomic<uint64_t> updates_applied_{0};
   std::atomic<uint64_t> compactions_{0};
+  std::atomic<uint64_t> replayed_updates_{0};
 
-  std::mutex compact_mu_;
+  std::mutex compact_mu_;  // guards the compactor thread's wake-up flags
   std::condition_variable compact_cv_;
   bool compact_requested_ = false;
   bool stop_ = false;

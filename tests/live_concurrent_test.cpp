@@ -4,14 +4,19 @@
 // kinds, materialized and streaming delivery. Every drained result must be
 // byte-identical to a from-scratch oracle of the epoch the reader pinned:
 // that is the MVCC contract (readers never block, never see a half-applied
-// batch, never see a later epoch's rows). The suite runs under TSan in CI;
-// a data race here is a contract violation, not flakiness.
+// batch, never see a later epoch's rows). Compaction builds off the write
+// lock and re-homes the updates applied meanwhile, so further tests race it
+// against updates and readers and check that updates complete while it
+// builds. The suite runs under TSan in CI; a data race here is a contract
+// violation, not flakiness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +24,7 @@
 
 #include "sparql/query_engine.hpp"
 #include "store/live_store.hpp"
+#include "workload/lubm.hpp"
 
 namespace turbo::store {
 namespace {
@@ -197,6 +203,132 @@ TEST_P(LiveReadWrite, ReadersAlwaysSeeExactlyTheirPinnedEpoch) {
   EXPECT_EQ(DrainSorted(*final_snap, cursor.value()), expect_knows.back());
 }
 
+// Compaction racing updates and readers. One thread loops Compact(), one
+// applies random batches and records each result epoch with the edge state
+// it produced, readers drain pinned snapshots. A reader at epoch e must see
+// the state of the last update with epoch <= e: a compaction publishes one
+// epoch equal to the latest, whatever it re-homed.
+TEST_P(LiveReadWrite, CompactionRacingUpdatesKeepsEveryEpochExact) {
+  LiveStore::Config config;
+  config.engine.solver = GetParam();
+  using EdgeSet = std::set<std::pair<std::string, std::string>>;
+  LiveStore store(DataFromEdges(BaseEdges()), config);
+  auto prepared_knows = store.Prepare(kKnows);
+  auto prepared_hops = store.Prepare(kTwoHop);
+  ASSERT_TRUE(prepared_knows.ok() && prepared_hops.ok());
+
+  // Written by the writer only, read after it is joined.
+  std::vector<std::pair<uint64_t, EdgeSet>> applied;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    const char* const names[] = {"alice", "bob", "carol", "dave", "eve", "frank", "gail"};
+    std::mt19937 rng(5);
+    std::uniform_int_distribution<int> pick(0, 6), coin(0, 1), size(1, 3);
+    EdgeSet state = BaseEdges();
+    for (int b = 0; b < 80; ++b) {
+      std::vector<Op> batch;
+      for (int k = size(rng); k > 0; --k)
+        batch.push_back({coin(rng) == 1, names[pick(rng)], names[pick(rng)]});
+      auto result = store.Update(BatchText(batch));
+      if (!result.ok()) {
+        failures.fetch_add(1);
+        break;
+      }
+      // Deletes apply before inserts within a request.
+      for (const Op& op : batch)
+        if (!op.insert) state.erase({op.s, op.o});
+      for (const Op& op : batch)
+        if (op.insert) state.insert({op.s, op.o});
+      applied.emplace_back(result.value().epoch, state);
+      std::this_thread::yield();
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  std::thread compactor([&] {
+    while (!writer_done.load(std::memory_order_acquire))
+      if (!store.Compact().ok()) failures.fetch_add(1);
+  });
+
+  struct Seen {
+    uint64_t epoch;
+    bool hops;
+    std::vector<std::string> rows;
+  };
+  constexpr int kReaders = 3;
+  std::vector<std::vector<Seen>> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      // At least one read each, however early the writer finishes.
+      for (int iter = 0; iter == 0 || !writer_done.load(std::memory_order_acquire);
+           ++iter) {
+        std::shared_ptr<const LiveStore::Snapshot> snap = store.snapshot();
+        ExecOptions opts;
+        opts.streaming = iter % 2 == 1;
+        const bool hops = (r + iter) % 3 == 0;
+        auto cursor = LiveStore::OpenAt(
+            snap, hops ? prepared_hops.value() : prepared_knows.value(), opts);
+        if (!cursor.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        std::vector<std::string> rows = DrainSorted(*snap, cursor.value());
+        if (!cursor.value().status().ok()) failures.fetch_add(1);
+        seen[r].push_back({snap->epoch, hops, std::move(rows)});
+      }
+    });
+  }
+  writer.join();
+  compactor.join();
+  for (std::thread& t : readers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  ASSERT_FALSE(applied.empty());
+
+  // From-scratch oracle per distinct state.
+  std::map<EdgeSet, std::pair<std::vector<std::string>, std::vector<std::string>>> oracle;
+  auto expect = [&](const EdgeSet& state, bool hops) -> const std::vector<std::string>& {
+    auto it = oracle.find(state);
+    if (it == oracle.end()) {
+      LiveStore scratch(DataFromEdges(state), config);
+      auto snap = scratch.snapshot();
+      auto run = [&](const char* q) {
+        auto cursor = LiveStore::OpenAt(snap, scratch.Prepare(q).value(), {});
+        return DrainSorted(*snap, cursor.value());
+      };
+      it = oracle.emplace(state, std::make_pair(run(kKnows), run(kTwoHop))).first;
+    }
+    return hops ? it->second.second : it->second.first;
+  };
+  const EdgeSet base = BaseEdges();
+  auto state_at = [&](uint64_t epoch) -> const EdgeSet& {
+    // The last update with epoch <= `epoch`; `applied` is in epoch order.
+    auto it = std::upper_bound(applied.begin(), applied.end(), epoch,
+                               [](uint64_t e, const auto& a) { return e < a.first; });
+    return it == applied.begin() ? base : std::prev(it)->second;
+  };
+  size_t checked = 0;
+  for (const auto& per_reader : seen) {
+    for (const Seen& s : per_reader) {
+      EXPECT_EQ(s.rows, expect(state_at(s.epoch), s.hops)) << "epoch " << s.epoch;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+
+  // Settled: the final snapshot, and one more compaction of it, equal the
+  // oracle of the last update's state.
+  for (int pass = 0; pass < 2; ++pass) {
+    auto final_snap = store.snapshot();
+    EXPECT_EQ(state_at(final_snap->epoch), applied.back().second);
+    auto cursor = LiveStore::OpenAt(final_snap, prepared_knows.value(), {});
+    ASSERT_TRUE(cursor.ok());
+    EXPECT_EQ(DrainSorted(*final_snap, cursor.value()),
+              expect(applied.back().second, false));
+    ASSERT_TRUE(store.Compact().ok());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSolvers, LiveReadWrite,
     ::testing::Values(QueryEngine::SolverKind::kTurbo,
@@ -253,6 +385,72 @@ TEST(LiveBackgroundCompaction, ThresholdTriggersCompactorThread) {
   ASSERT_TRUE(oracle_cursor.ok());
   EXPECT_EQ(DrainSorted(*snap, cursor.value()),
             DrainSorted(*oracle_snap, oracle_cursor.value()));
+}
+
+// Updates never wait for a rebuild: on LUBM-1, updates applied while a
+// Compact() on another thread builds get epochs between the one recorded
+// before it and the compaction's own, and the post-compaction snapshot holds
+// their effect (the ones after the pin re-homed into its delta).
+TEST(LiveCompactionOffLock, UpdatesCompleteWhileCompactionBuilds) {
+  workload::LubmConfig lubm;
+  lubm.seed = 7;
+  lubm.num_universities = 1;
+  LiveStore store(workload::GenerateLubmClosed(lubm));
+  auto insert = [&](int i) {
+    return store.Update("INSERT DATA { <http://x/n" + std::to_string(i) +
+                        "> <http://x/knows> <http://x/alice> . }");
+  };
+  // The first update builds the base index; keep it out of the window.
+  ASSERT_TRUE(insert(0).ok());
+
+  const uint64_t e0 = store.epoch();
+  std::atomic<bool> compacted{false};
+  util::Status compact_status;
+  std::thread compactor([&] {
+    compact_status = store.Compact();
+    compacted.store(true, std::memory_order_release);
+  });
+  std::set<uint64_t> update_epochs;
+  int updates = 1;
+  bool ok = true;
+  while (ok && !compacted.load(std::memory_order_acquire)) {
+    auto result = insert(updates++);
+    ok = result.ok();
+    if (ok) update_epochs.insert(result.value().epoch);
+  }
+  compactor.join();
+  ASSERT_TRUE(ok);
+  ASSERT_TRUE(compact_status.ok()) << compact_status.message();
+  // One update after the compaction brackets its epoch.
+  auto last = insert(updates++);
+  ASSERT_TRUE(last.ok());
+  update_epochs.insert(last.value().epoch);
+
+  // Every epoch after e0 is an update's or the compaction's own.
+  uint64_t compaction_epoch = e0 + 1;
+  while (update_epochs.count(compaction_epoch)) ++compaction_epoch;
+  ASSERT_LT(compaction_epoch, last.value().epoch);
+  const size_t during = std::distance(update_epochs.upper_bound(e0),
+                                      update_epochs.lower_bound(compaction_epoch));
+  EXPECT_GE(during, 10u) << "updates waited for the compaction";
+
+  LiveStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_FALSE(stats.compacting);
+  EXPECT_GE(stats.replayed_updates, 1u);
+  // Updates up to the pin folded into the base; the replayed ones and those
+  // after the compaction's epoch are the whole delta.
+  const size_t after = std::distance(update_epochs.upper_bound(compaction_epoch),
+                                     update_epochs.end());
+  auto snap = store.snapshot();
+  EXPECT_EQ(snap->delta_adds(), stats.replayed_updates + after);
+  EXPECT_EQ(snap->tombstone_count(), 0u);
+  auto cursor = store.Open("SELECT ?x WHERE { ?x <http://x/knows> <http://x/alice> . }");
+  ASSERT_TRUE(cursor.ok()) << cursor.message();
+  Row row;
+  int rows = 0;
+  while (cursor.value().Next(&row)) ++rows;
+  EXPECT_EQ(rows, updates);
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 //    budget is a 200 with the marker even before the first row, and a
 //    request can tighten the server's deadline but never lift or loosen it;
 //  * live store: a cached plan keeps hitting across POST /update and
-//    answers with the updated rows;
+//    answers with the updated rows; /stats reports compactions, whether one
+//    is building and how many updates the last one re-homed;
 //  * admission control: a saturated worker pool answers 503 immediately and
 //    recovers once the pool drains;
 //  * teardown: a client that disconnects mid-stream abandons the cursor and
@@ -612,6 +613,31 @@ TEST(ServerLiveStore, CachedPlanHitsAcrossUpdateWithUpdatedRows) {
   EXPECT_EQ(after.headers["x-epoch"], "1");
   EXPECT_NE(after.body.find("<http://x/o9>"), std::string::npos) << after.body;
   EXPECT_EQ(server.stats().plan_cache_misses, 1u);
+  server.Stop();
+}
+
+TEST(ServerLiveStore, StatsReportCompaction) {
+  store::LiveStore live(TinyData());
+  SparqlServer server(&live, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(
+      live.Update("INSERT DATA { <http://x/s9> <http://x/p> <http://x/o9> . }").ok());
+  HttpResponse before;
+  ASSERT_TRUE(HttpGet(server.port(), "/stats", &before).ok());
+  EXPECT_EQ(before.status, 200);
+  EXPECT_NE(
+      before.body.find("\"compactions\":0,\"compacting\":false,\"replayed_updates\":0,"),
+      std::string::npos)
+      << before.body;
+  ASSERT_TRUE(live.Compact().ok());
+  HttpResponse after;
+  ASSERT_TRUE(HttpGet(server.port(), "/stats", &after).ok());
+  // Nothing was applied while the compaction built, so nothing re-homed.
+  EXPECT_NE(
+      after.body.find("\"compactions\":1,\"compacting\":false,\"replayed_updates\":0,"),
+      std::string::npos)
+      << after.body;
+  EXPECT_NE(after.body.find("\"delta_adds\":0,"), std::string::npos) << after.body;
   server.Stop();
 }
 
