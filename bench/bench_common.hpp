@@ -6,14 +6,11 @@
 // toward the paper's sizes on bigger machines:
 //   LUBM_SCALES                comma list of university counts
 //   BENCH_REPS                 measurement repetitions (default 5)
-//   TURBO_REUSE_REGION_MEMORY  0 disables RegionArena pooling (the "before"
-//                              configuration for bench/results/ baselines)
 //   BENCH_JSON                 path for the machine-tagged JSON report —
 //                              currently emitted by bench_table3_lubm (see
 //                              bench_json.hpp / bench/compare_results.py)
 #pragma once
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -50,24 +47,6 @@ inline std::vector<uint32_t> ScalesFromEnv(const char* name,
 inline int RepsFromEnv() {
   const char* env = std::getenv("BENCH_REPS");
   return env ? std::max(1, atoi(env)) : 5;
-}
-
-/// Engine options honouring the bench environment toggles.
-inline engine::MatchOptions TurboOptionsFromEnv() {
-  engine::MatchOptions opts;
-  if (const char* reuse = std::getenv("TURBO_REUSE_REGION_MEMORY")) {
-    std::string v(reuse);
-    for (char& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (v == "0" || v == "false" || v == "off" || v == "no") {
-      opts.reuse_region_memory = false;
-    } else if (!(v == "1" || v == "true" || v == "on" || v == "yes" || v.empty())) {
-      std::fprintf(stderr,
-                   "TURBO_REUSE_REGION_MEMORY=%s not recognized; use 0/1 "
-                   "(keeping the default: on)\n",
-                   reuse);
-    }
-  }
-  return opts;
 }
 
 /// Optional heap-allocation probe. A driver that includes alloc_counter.hpp
@@ -131,16 +110,14 @@ inline Timed TimeQuery(const sparql::BgpSolver& solver, const std::string& query
 }
 
 /// All four engines over one dataset (the paper's §7 line-up with the
-/// DESIGN.md substitutions). The default options honour the bench env
-/// toggles, so TURBO_REUSE_REGION_MEMORY=0 selects the legacy allocation
-/// path in every table driver.
+/// DESIGN.md substitutions).
 struct EngineSet {
-  EngineSet(const rdf::Dataset& ds, engine::MatchOptions turbo_opts = TurboOptionsFromEnv())
+  explicit EngineSet(const rdf::Dataset& ds)
       : aware(graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware)),
         direct(graph::DataGraph::Build(ds, graph::TransformMode::kDirect)),
         index(ds),
-        turbo(aware, ds.dict(), turbo_opts),
-        turbo_direct(direct, ds.dict(), turbo_opts),
+        turbo(aware, ds.dict()),
+        turbo_direct(direct, ds.dict()),
         sortmerge(index, ds.dict()),
         indexjoin(index, ds.dict()) {}
 

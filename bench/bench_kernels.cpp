@@ -96,16 +96,14 @@ void BM_AdjacencyLookup(benchmark::State& state) {
 BENCHMARK(BM_AdjacencyLookup);
 
 void BM_CandidateRegionStore(benchmark::State& state) {
-  // ExploreCandidateRegion's per-region lifecycle: reset the store, build
-  // `kLists` candidate lists per tree node, look each one up once. Arg 1 =
-  // pooled RegionArena (reset, memory kept), arg 0 = the seed's layout
-  // (unordered_map nodes freed every region).
-  const bool pooled = state.range(0) != 0;
+  // ExploreCandidateRegion's per-region lifecycle: reset the RegionArena
+  // (memory kept), build `kLists` candidate lists per tree node, look each
+  // one up once.
   constexpr uint32_t kNodes = 6;
   constexpr uint32_t kLists = 64;
   constexpr uint32_t kLen = 24;
   turbo::engine::RegionArena arena;
-  arena.PrepareQuery(kNodes, pooled);
+  arena.PrepareQuery(kNodes);
   // Distinct keys: CandidateMap::Insert requires the key to be absent.
   std::vector<turbo::VertexId> parents(kLists);
   for (uint32_t li = 0; li < kLists; ++li) parents[li] = 1000 + li * 131;
@@ -114,9 +112,8 @@ void BM_CandidateRegionStore(benchmark::State& state) {
     for (uint32_t node = 1; node < kNodes; ++node) {
       const uint32_t depth = node / 2;
       for (uint32_t li = 0; li < kLists; ++li) {
-        arena.BeginList(node, depth, parents[li]);
-        for (uint32_t k = 0; k < kLen; ++k)
-          arena.Append(node, depth, parents[li] + k);
+        arena.BeginList(node, depth);
+        for (uint32_t k = 0; k < kLen; ++k) arena.Append(depth, parents[li] + k);
         arena.EndList(node, depth, parents[li]);
       }
       for (uint32_t li = 0; li < kLists; ++li) {
@@ -127,7 +124,7 @@ void BM_CandidateRegionStore(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (kNodes - 1) * kLists * kLen);
 }
-BENCHMARK(BM_CandidateRegionStore)->Arg(0)->Arg(1);
+BENCHMARK(BM_CandidateRegionStore);
 
 }  // namespace
 

@@ -138,7 +138,6 @@ int main() {
 
     // ---- Query times + signature counters, plain vs compressed engines. ----
     sparql::QueryEngine::Config config;
-    config.engine_options = bench::TurboOptionsFromEnv();
     sparql::QueryEngine plain_engine(ds, config);
     config.storage = graph::StorageMode::kCompressed;
     sparql::QueryEngine comp_engine(ds, config);

@@ -10,9 +10,7 @@
 //
 // With BENCH_JSON=<path> the run also emits a machine-tagged JSON report
 // (per query: ms, rows, heap allocations) — the input format of
-// bench/compare_results.py. TURBO_REUSE_REGION_MEMORY=0 selects the
-// pre-arena allocation behaviour, so a reuse-off/reuse-on pair of reports
-// is the measured delta of the RegionArena optimization.
+// bench/compare_results.py.
 #include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -23,13 +21,11 @@ using namespace turbo;
 int main() {
   auto scales = bench::ScalesFromEnv("LUBM_SCALES", {2, 8, 32});
   auto queries = workload::LubmQueries();
-  engine::MatchOptions turbo_opts = bench::TurboOptionsFromEnv();
   if (bench::kAllocCountingEnabled) bench::g_alloc_probe = &bench::AllocCount;
 
   bench::BenchReport report;
   report.bench = "bench_table3_lubm";
   report.machine = bench::MachineTag();
-  report.config["reuse_region_memory"] = turbo_opts.reuse_region_memory ? "1" : "0";
   report.config["reps"] = std::to_string(bench::RepsFromEnv());
 
   for (uint32_t n : scales) {
@@ -37,7 +33,7 @@ int main() {
     cfg.num_universities = n;
     util::WallTimer prep;
     rdf::Dataset ds = workload::GenerateLubmClosed(cfg);
-    bench::EngineSet engines(ds, turbo_opts);
+    bench::EngineSet engines(ds);
     std::printf("\n[LUBM%u: %zu triples, prep %.1fs]\n", n, ds.size(),
                 prep.ElapsedSeconds());
 

@@ -26,6 +26,11 @@ using graph::QueryEdge;
 using graph::QueryGraph;
 using graph::QueryVertex;
 
+/// Rows a parallel streaming worker buffers before one FlushPending hands
+/// them to the callback. Sequential runs deliver every row directly, so
+/// their result order is unaffected.
+constexpr size_t kStreamBatch = 32;
+
 // ---------------------------------------------------------------------------
 // Compiled query: start vertex, query tree, filter requirements.
 // ---------------------------------------------------------------------------
@@ -466,11 +471,10 @@ class Worker {
         limit_(limit),
         stop_all_(stop_all),
         stream_mu_(stream_mu),
-        batch_size_(std::max<uint32_t>(1, ctx.opt().stream_batch)),
         ar_(*arena),
         iso_(ctx.opt().semantics == MatchSemantics::kIsomorphism) {
     const QueryTree& t = c_.tree;
-    ar_.PrepareQuery(t.num_nodes(), ctx_.opt().reuse_region_memory);
+    ar_.PrepareQuery(t.num_nodes());
     ar_.cr_total.assign(t.num_nodes(), 0);
     ar_.m_node.assign(t.num_nodes(), kInvalidId);
     ar_.node_depth.assign(t.num_nodes(), 0);
@@ -567,9 +571,9 @@ class Worker {
                              q_.edge(child.edge).label, ar_, &cands, &stats);
       // The recursion below only appends to depths > cd, so CR(ci, v) stays
       // the open tail of its depth's pool until EndList.
-      ar_.BeginList(ci, cd, v);
+      ar_.BeginList(ci, cd);
       for (VertexId w : cands)
-        if (ExploreNode(ci, w)) ar_.Append(ci, cd, w);
+        if (ExploreNode(ci, w)) ar_.Append(cd, w);
       uint32_t len = ar_.EndList(ci, cd, v);
       ar_.cr_total[ci] += len;
       stats.cr_candidate_vertices += len;
@@ -755,26 +759,17 @@ class Worker {
       for (uint32_t i = 0; i < c_.tree.num_nodes(); ++i)
         ar_.sol_buf[c_.tree.node(i).qv] = ar_.m_node[i];
       if (stream_) {
-        if (stream_mu_ && batch_size_ > 1) {
+        if (stream_mu_) {
           // Per-worker batch handoff: buffer locally and deliver the whole
           // batch under one acquisition of the delivery mutex, amortizing
           // per-solution lock traffic across parallel workers. MatchImpl
           // flushes each worker's tail after the parallel loop joins, so
           // every limit-accounted row still reaches the callback.
           pending_.push_back(ar_.sol_buf);
-          if (pending_.size() >= batch_size_) FlushPending();
-        } else {
-          bool keep_going;
-          if (stream_mu_) {
-            std::lock_guard<std::mutex> lock(*stream_mu_);
-            keep_going = (*stream_)(ar_.sol_buf);
-          } else {
-            keep_going = (*stream_)(ar_.sol_buf);
-          }
-          if (!keep_going) {
-            aborted_ = true;
-            stop_all_->store(true, std::memory_order_relaxed);
-          }
+          if (pending_.size() >= kStreamBatch) FlushPending();
+        } else if (!(*stream_)(ar_.sol_buf)) {
+          aborted_ = true;
+          stop_all_->store(true, std::memory_order_relaxed);
         }
       } else {
         solutions.push_back(ar_.sol_buf);
@@ -783,9 +778,9 @@ class Worker {
   }
 
  public:
-  /// Delivers this worker's buffered solutions (batched parallel streaming
-  /// only). A callback asking to stop drops the rest of the batch and trips
-  /// the run-wide flag.
+  /// Delivers this worker's buffered solutions (parallel streaming only).
+  /// A callback asking to stop drops the rest of the batch and trips the
+  /// run-wide flag.
   void FlushPending() {
     if (pending_.empty()) return;
     bool keep_going = true;
@@ -818,7 +813,6 @@ class Worker {
   std::mutex* stream_mu_ = nullptr;
   /// Streaming solutions awaiting a batched FlushPending (parallel only).
   std::vector<Solution> pending_;
-  const uint32_t batch_size_;
   RegionArena& ar_;   // exclusive to this worker until MatchImpl releases it
   const bool iso_;
   bool aborted_ = false;
@@ -828,7 +822,7 @@ class Worker {
 
 MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const QueryGraph& q,
                      std::vector<Solution>* out, const SolutionCallback* stream,
-                     ArenaPool* pool) {
+                     ArenaPool& pool) {
   util::WallTimer total;
   MatchStats stats;
   Context ctx(g, options);
@@ -836,20 +830,17 @@ MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const Quer
   ctx.Compile(q, &c, &stats);
   stats.start_query_vertex = c.start_qv;
 
-  // Check one RegionArena out per worker. With reuse_region_memory the
-  // arenas come from (and return to) the Matcher's pool, warm from earlier
-  // queries; otherwise each run gets throwaway arenas in legacy mode.
-  const bool pooled = options.reuse_region_memory && pool != nullptr;
+  // Check one RegionArena out per worker from the Matcher's pool; it comes
+  // back warm from earlier queries and returns there after the run.
   auto acquire_arena = [&]() {
-    std::unique_ptr<RegionArena> a =
-        pooled ? pool->Acquire() : std::make_unique<RegionArena>();
+    std::unique_ptr<RegionArena> a = pool.Acquire();
     ++stats.arena_workers;
     if (a->warm) ++stats.arena_warm;
     return a;
   };
   auto release_arena = [&](std::unique_ptr<RegionArena> a) {
     stats.arena_bytes += a->ApproxBytes();
-    if (pooled) pool->Release(std::move(a));
+    pool.Release(std::move(a));
   };
 
   std::atomic<uint64_t> global_count{0};
@@ -912,10 +903,11 @@ MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const Quer
     }
     release_arena(std::move(arena));
   } else {
-    // Parallel streaming delivers directly from the worker threads, one
-    // callback at a time under `stream_mu`; a stop request (callback false,
-    // limit, cancel, deadline) flips `stop_all`, which every worker polls in
-    // ProcessStart and SubgraphSearch, so the join below is prompt.
+    // Parallel streaming delivers from the worker threads, one batch of up
+    // to kStreamBatch rows at a time under `stream_mu`; a stop request
+    // (callback false, limit, cancel, deadline) flips `stop_all`, which
+    // every worker polls in ProcessStart and SubgraphSearch, so the join
+    // below is prompt.
     std::mutex stream_mu;
     std::vector<std::unique_ptr<RegionArena>> arenas(nthreads);
     std::vector<std::unique_ptr<Worker>> workers(nthreads);
@@ -958,22 +950,22 @@ MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const Quer
 }  // namespace
 
 MatchStats Matcher::Match(const QueryGraph& q, const SolutionCallback& callback) const {
-  if (!callback) return MatchImpl(g_, options_, q, nullptr, nullptr, &arena_pool());
+  if (!callback) return MatchImpl(g_, options_, q, nullptr, nullptr, arena_pool());
   // Solutions stream as they are found in both sequential and parallel runs
   // (parallel delivery is serialized by a mutex inside MatchImpl), so a
   // `false` return stops the enumeration itself, not just the delivery.
-  return MatchImpl(g_, options_, q, nullptr, &callback, &arena_pool());
+  return MatchImpl(g_, options_, q, nullptr, &callback, arena_pool());
 }
 
 uint64_t Matcher::Count(const QueryGraph& q, MatchStats* stats) const {
-  MatchStats s = MatchImpl(g_, options_, q, nullptr, nullptr, &arena_pool());
+  MatchStats s = MatchImpl(g_, options_, q, nullptr, nullptr, arena_pool());
   if (stats) *stats = s;
   return s.num_solutions;
 }
 
 std::vector<Solution> Matcher::FindAll(const QueryGraph& q, MatchStats* stats) const {
   std::vector<Solution> out;
-  MatchStats s = MatchImpl(g_, options_, q, &out, nullptr, &arena_pool());
+  MatchStats s = MatchImpl(g_, options_, q, &out, nullptr, arena_pool());
   if (stats) *stats = s;
   return out;
 }

@@ -51,10 +51,11 @@ class Matcher {
 
   /// Enumerates all e-graph homomorphisms (or isomorphisms) of `q` in the
   /// data graph. The callback, if provided, is invoked serially — parallel
-  /// runs deliver directly from worker threads under a mutex (never
-  /// concurrently), so a `false` return or a MatchOptions::cancel signal
-  /// stops further enumeration promptly instead of after a full
-  /// buffer-and-replay. Requires a connected query graph with >= 1 vertex.
+  /// runs deliver small per-worker batches from the worker threads under a
+  /// mutex (never concurrently), so a `false` return or a
+  /// MatchOptions::cancel signal stops further enumeration promptly instead
+  /// of after a full buffer-and-replay. Requires a connected query graph
+  /// with >= 1 vertex.
   MatchStats Match(const graph::QueryGraph& q, const SolutionCallback& callback) const;
 
   /// Counts solutions without materializing them.
@@ -70,7 +71,6 @@ class Matcher {
   std::string ExplainPlan(const graph::QueryGraph& q) const;
 
   const MatchOptions& options() const { return options_; }
-  MatchOptions& mutable_options() { return options_; }
   const graph::DataGraph& data_graph() const { return g_; }
   /// The arena checkout pool in effect (shared or owned).
   ArenaPool& arena_pool() const { return shared_pool_ ? *shared_pool_ : own_pool_; }

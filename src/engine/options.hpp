@@ -15,7 +15,8 @@ namespace turbo::engine {
 enum class MatchSemantics : uint8_t { kHomomorphism, kIsomorphism };
 
 /// Engine configuration. Defaults correspond to the paper's fully optimized
-/// TurboHOM++: +INT, -NLF, -DEG, +REUSE (Section 4.3).
+/// TurboHOM++: +INT, -NLF, -DEG, +REUSE (Section 4.3). Candidate regions
+/// always live in pooled RegionArenas (engine/region_arena.hpp).
 struct MatchOptions {
   MatchSemantics semantics = MatchSemantics::kHomomorphism;
 
@@ -27,14 +28,6 @@ struct MatchOptions {
   bool use_degree_filter = false;
   /// +REUSE — compute the matching order for the first candidate region only.
   bool reuse_matching_order = true;
-
-  /// Pool candidate-region storage (CR lists, exploration memo, search
-  /// scratch) in per-worker RegionArenas that are reset — not freed —
-  /// between starting vertices and reused across queries via the Matcher's
-  /// ArenaPool. When false, every worker allocates fresh per-region
-  /// containers exactly like the seed implementation; both paths are
-  /// crosschecked in tests/solver_crosscheck_test.cpp.
-  bool reuse_region_memory = true;
 
   /// Match against L_simple(v) (simple entailment regime, §4.2) instead of
   /// the inferred label closure L(v).
@@ -68,13 +61,6 @@ struct MatchOptions {
   /// drives this match is destroyed mid-query. Behaves like `cancel` for the
   /// enumeration but is reported as an abandonment, not a caller error.
   const std::atomic<bool>* abandon = nullptr;
-
-  /// Parallel streaming delivery: each worker buffers up to this many
-  /// solutions and hands them to the callback under a single acquisition of
-  /// the delivery mutex, amortizing per-solution lock traffic. 1 delivers
-  /// every solution individually; sequential runs (no mutex) always deliver
-  /// per solution, so result order there is unaffected.
-  uint32_t stream_batch = 32;
 
   bool has_deadline() const { return deadline.time_since_epoch().count() != 0; }
 };

@@ -15,13 +15,6 @@
 //   * the Worker scratch buffers (explore/search scratch, visited marks,
 //     solution assembly) so they too survive across queries.
 //
-// MatchOptions::reuse_region_memory selects between this pooled layout and a
-// `legacy` mode that reproduces the seed's allocation behaviour exactly
-// (fresh unordered_maps, cleared — freed — between regions). Both modes are
-// crosschecked against each other and against the baselines in
-// tests/solver_crosscheck_test.cpp; the legacy mode doubles as the honest
-// "before" configuration for the bench/results/ baselines.
-//
 // Workers never share an arena: MatchImpl checks one arena out of the
 // owning Matcher's ArenaPool per worker thread and returns it after the
 // join, which keeps parallel workers allocation-isolated.
@@ -33,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "util/common.hpp"
@@ -192,97 +184,57 @@ struct SearchScratch {
 
 class RegionArena {
  public:
-  /// Sizes the containers for a query tree of `num_nodes` nodes and selects
-  /// the storage mode. Pooled containers are grown but never shrunk, so a
-  /// warm arena carries its capacity into the next query.
-  void PrepareQuery(uint32_t num_nodes, bool pooled) {
-    pooled_ = pooled;
+  /// Sizes the containers for a query tree of `num_nodes` nodes. Containers
+  /// are grown but never shrunk, so a warm arena carries its capacity into
+  /// the next query.
+  void PrepareQuery(uint32_t num_nodes) {
     num_nodes_ = num_nodes;
-    if (pooled_) {
-      if (maps_.size() < num_nodes) maps_.resize(num_nodes);
-      if (pools_.size() < num_nodes) pools_.resize(num_nodes);
-      if (open_begin_.size() < num_nodes) open_begin_.resize(num_nodes);
-      legacy_.clear();
-      legacy_open_.clear();
-    } else {
-      legacy_.assign(num_nodes, {});
-      legacy_open_.assign(num_nodes, nullptr);
-    }
+    if (maps_.size() < num_nodes) maps_.resize(num_nodes);
+    if (pools_.size() < num_nodes) pools_.resize(num_nodes);
+    if (open_begin_.size() < num_nodes) open_begin_.resize(num_nodes);
     if (explore_scratch.size() < num_nodes + 1) explore_scratch.resize(num_nodes + 1);
     if (search_scratch.size() < num_nodes + 1) search_scratch.resize(num_nodes + 1);
     ResetRegion();
   }
 
-  /// Clears the candidate region between starting vertices. Pooled mode is
-  /// O(nodes) counter bumps; legacy mode frees every list, like the seed.
+  /// Clears the candidate region between starting vertices: O(nodes)
+  /// counter bumps, no memory freed.
   void ResetRegion() {
-    if (pooled_) {
-      for (uint32_t i = 0; i < num_nodes_; ++i) {
-        maps_[i].Reset();
-        pools_[i].clear();
-      }
-      memo_.Reset();
-    } else {
-      for (auto& m : legacy_) m.clear();
-      legacy_memo_.clear();
+    for (uint32_t i = 0; i < num_nodes_; ++i) {
+      maps_[i].Reset();
+      pools_[i].clear();
     }
+    memo_.Reset();
   }
 
-  /// Opens the candidate list CR(node, parent). At most one list per node is
-  /// ever open (the exploration DFS descends strictly by depth).
-  void BeginList(uint32_t node, uint32_t depth, VertexId parent) {
-    if (pooled_) {
-      open_begin_[node] = static_cast<uint32_t>(pools_[depth].size());
-    } else {
-      std::vector<VertexId>& lst = legacy_[node][parent];
-      lst.clear();
-      legacy_open_[node] = &lst;
-    }
+  /// Opens the candidate list CR(node, ·) at the tail of its depth's pool.
+  /// At most one list per node is ever open (the exploration DFS descends
+  /// strictly by depth).
+  void BeginList(uint32_t node, uint32_t depth) {
+    open_begin_[node] = static_cast<uint32_t>(pools_[depth].size());
   }
 
-  void Append(uint32_t node, uint32_t depth, VertexId w) {
-    if (pooled_)
-      pools_[depth].push_back(w);
-    else
-      legacy_open_[node]->push_back(w);
-  }
+  void Append(uint32_t depth, VertexId w) { pools_[depth].push_back(w); }
 
-  /// Closes the list opened by BeginList and returns its length.
+  /// Closes the list opened by BeginList as CR(node, parent) and returns its
+  /// length.
   uint32_t EndList(uint32_t node, uint32_t depth, VertexId parent) {
-    if (pooled_) {
-      uint32_t end = static_cast<uint32_t>(pools_[depth].size());
-      CandidateMap::Entry* e = maps_[node].Insert(parent);
-      e->begin = open_begin_[node];
-      e->end = end;
-      return end - e->begin;
-    }
-    return static_cast<uint32_t>(legacy_open_[node]->size());
+    uint32_t end = static_cast<uint32_t>(pools_[depth].size());
+    CandidateMap::Entry* e = maps_[node].Insert(parent);
+    e->begin = open_begin_[node];
+    e->end = end;
+    return end - e->begin;
   }
 
   /// CR(node, parent), or an empty span when absent / empty.
   std::span<const VertexId> Lookup(uint32_t node, uint32_t depth, VertexId parent) const {
-    if (pooled_) {
-      const CandidateMap::Entry* e = maps_[node].Find(parent);
-      if (!e) return {};
-      return std::span<const VertexId>(pools_[depth]).subspan(e->begin, e->end - e->begin);
-    }
-    auto it = legacy_[node].find(parent);
-    if (it == legacy_[node].end()) return {};
-    return it->second;
+    const CandidateMap::Entry* e = maps_[node].Find(parent);
+    if (!e) return {};
+    return std::span<const VertexId>(pools_[depth]).subspan(e->begin, e->end - e->begin);
   }
 
-  int MemoFind(uint64_t key) const {
-    if (pooled_) return memo_.Find(key);
-    auto it = legacy_memo_.find(key);
-    return it == legacy_memo_.end() ? -1 : it->second;
-  }
-
-  void MemoPut(uint64_t key, bool ok) {
-    if (pooled_)
-      memo_.Put(key, ok);
-    else
-      legacy_memo_.emplace(key, ok);
-  }
+  int MemoFind(uint64_t key) const { return memo_.Find(key); }
+  void MemoPut(uint64_t key, bool ok) { memo_.Put(key, ok); }
 
   /// Guarantees `mapped` (the isomorphism F-flags) covers `n` vertices and
   /// is all-zero. SubgraphSearch maintains the all-zero invariant on every
@@ -337,17 +289,11 @@ class RegionArena {
   std::vector<uint64_t> cr_total;
 
  private:
-  bool pooled_ = true;
   uint32_t num_nodes_ = 0;
-  // Pooled storage.
   std::vector<CandidateMap> maps_;            ///< per tree node
   std::vector<std::vector<VertexId>> pools_;  ///< per tree depth
   std::vector<uint32_t> open_begin_;          ///< per node open-list start
   MemoMap memo_;
-  // Legacy (reuse_region_memory = false) storage: the seed's layout.
-  std::vector<std::unordered_map<VertexId, std::vector<VertexId>>> legacy_;
-  std::vector<std::vector<VertexId>*> legacy_open_;
-  std::unordered_map<uint64_t, bool> legacy_memo_;
   // Blank-edge union buffer pool (LIFO; see PushUnionBuf).
   std::deque<std::vector<VertexId>> union_bufs_;
   size_t union_top_ = 0;

@@ -240,9 +240,7 @@ std::string FormatRow(const std::vector<std::string>& var_names, const Row& row,
 /// each Cursor is single-consumer but any number of cursors (materialized,
 /// streaming, or abandoned mid-stream) may be in flight over the same
 /// engine at once — the solvers' shared mutable state (the RegionArena
-/// pool, the cumulative MatchStats) is mutex-protected. The only
-/// non-thread-safe surface is TurboBgpSolver::mutable_options(), which must
-/// not be called while cursors are open.
+/// pool, the cumulative MatchStats) is mutex-protected.
 class QueryEngine {
  public:
   enum class SolverKind : uint8_t {

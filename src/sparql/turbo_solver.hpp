@@ -40,7 +40,6 @@ class TurboBgpSolver : public BgpSolver {
 
   const rdf::Dictionary& dict() const override { return dict_; }
   const graph::DataGraph& data_graph() const { return g_; }
-  engine::MatchOptions& mutable_options() { return options_; }
   const engine::MatchOptions& options() const { return options_; }
 
   /// Cumulative engine statistics across Evaluate calls, as a snapshot —

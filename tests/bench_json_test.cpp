@@ -26,7 +26,7 @@ bench::BenchReport SampleReport() {
   bench::BenchReport r;
   r.bench = "bench_table3_lubm";
   r.machine = bench::MachineTag();
-  r.config["reuse_region_memory"] = "1";
+  r.config["lubm_scales"] = "2,8";
   r.config["reps"] = "5";
   r.results.push_back({"LUBM2/Q1/TurboHOM++", {{"ms", 0.125}, {"rows", 4}, {"allocs", 123}}});
   r.results.push_back({"LUBM2/Q2/TurboHOM++", {{"ms", 17.5}, {"rows", 0}}});

@@ -305,32 +305,27 @@ inline std::string DescribeCase(const RandomCase& c, uint64_t seed) {
   return s;
 }
 
-/// All 32 combinations of the §4.3 toggles × reuse_region_memory. The first
-/// 16 entries (reuse on, the default) are the paper's 16-toggle matrix; the
-/// second 16 repeat it over the legacy allocation path, so every toggle
-/// combination is differentially checked on both region-storage layouts.
+/// All 16 combinations of the §4.3 toggles (+INT, NLF, DEG, +REUSE).
 inline std::vector<MatchOptions> AllToggleCombos(MatchSemantics sem) {
   std::vector<MatchOptions> out;
-  for (int mask = 0; mask < 32; ++mask) {
+  for (int mask = 0; mask < 16; ++mask) {
     MatchOptions o;
     o.semantics = sem;
     o.use_intersection = mask & 1;
     o.use_nlf = mask & 2;
     o.use_degree_filter = mask & 4;
     o.reuse_matching_order = mask & 8;
-    o.reuse_region_memory = !(mask & 16);
     out.push_back(o);
   }
   return out;
 }
 
-/// Names the §4.3 + region-reuse toggles of `o` for failure messages.
+/// Names the §4.3 toggles of `o` for failure messages.
 inline std::string DescribeToggles(const MatchOptions& o) {
   return " [INT=" + std::to_string(o.use_intersection) +
          " NLF=" + std::to_string(o.use_nlf) +
          " DEG=" + std::to_string(o.use_degree_filter) +
-         " REUSE=" + std::to_string(o.reuse_matching_order) +
-         " ARENA=" + std::to_string(o.reuse_region_memory) + "]";
+         " REUSE=" + std::to_string(o.reuse_matching_order) + "]";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Streaming query API tests: QueryEngine / PreparedQuery / Cursor.
 //
 //  * cursor Next matches the materialized Executor::Execute row-for-row
-//    (including order) across all four solvers, both region-storage modes,
-//    and the §4.3 crosscheck toggle matrix;
+//    (including order) across all four solvers and the §4.3 crosscheck
+//    toggle matrix;
 //  * LIMIT-k / limit_budget pushdown provably shrinks the enumeration
 //    (MatchStats assertions: fewer starting vertices tried, early stop);
 //  * cancellation, deadlines, and row budgets terminate mid-query with a
@@ -136,21 +136,17 @@ TEST_F(CursorVsExecute, AllSolversAllQueries) {
   baseline::SortMergeBgpSolver sortmerge(index_, ds_.dict());
   baseline::IndexJoinBgpSolver indexjoin(index_, ds_.dict());
   for (const char* q : kProductQueries) {
-    for (bool reuse : {true, false}) {
-      engine::MatchOptions o;
-      o.reuse_region_memory = reuse;
-      TurboBgpSolver typed(typed_, ds_.dict(), o);
-      TurboBgpSolver direct(direct_, ds_.dict(), o);
-      CheckIdentity(typed, q);
-      CheckIdentity(direct, q);
-    }
+    TurboBgpSolver typed(typed_, ds_.dict());
+    TurboBgpSolver direct(direct_, ds_.dict());
+    CheckIdentity(typed, q);
+    CheckIdentity(direct, q);
     CheckIdentity(sortmerge, q);
     CheckIdentity(indexjoin, q);
   }
 }
 
-// Every §4.3 toggle combination (× reuse_region_memory) on seeded random
-// BGPs: the cursor path must agree with the solver-level Evaluate rows.
+// Every §4.3 toggle combination on seeded random BGPs: the cursor path must
+// agree with the solver-level Evaluate rows.
 TEST_F(CursorVsExecute, CrosscheckToggleMatrix) {
   namespace cc = turbo::testing::crosscheck;
   for (uint64_t seed = 600; seed < 606; ++seed) {
@@ -183,7 +179,7 @@ TEST_F(CursorVsExecute, CrosscheckToggleMatrix) {
 }
 
 // Fuzz-scale SELECT queries (OPTIONAL / FILTER / UNION / DISTINCT): cursor
-// and Execute agree through every decoration, both storage modes.
+// and Execute agree through every decoration.
 TEST_F(CursorVsExecute, ExecutorFuzzCursorIdentity) {
   namespace cc = turbo::testing::crosscheck;
   for (uint64_t seed = 7000; seed < 7004; ++seed) {
@@ -192,19 +188,15 @@ TEST_F(CursorVsExecute, ExecutorFuzzCursorIdentity) {
     SCOPED_TRACE(c.description);
     graph::DataGraph typed =
         graph::DataGraph::Build(c.ds, graph::TransformMode::kTypeAware);
-    for (bool reuse : {true, false}) {
-      engine::MatchOptions o;
-      o.reuse_region_memory = reuse;
-      TurboBgpSolver solver(typed, c.ds.dict(), o);
-      Executor ex(&solver);
-      auto materialized = ex.Execute(c.query);
-      ASSERT_TRUE(materialized.ok()) << materialized.message();
-      auto prepared = PrepareSelect(c.query);
-      ASSERT_TRUE(prepared.ok());
-      Cursor cursor = OpenCursor(solver, prepared.value());
-      EXPECT_EQ(materialized.value().rows, Drain(cursor));
-      EXPECT_TRUE(cursor.status().ok());
-    }
+    TurboBgpSolver solver(typed, c.ds.dict());
+    Executor ex(&solver);
+    auto materialized = ex.Execute(c.query);
+    ASSERT_TRUE(materialized.ok()) << materialized.message();
+    auto prepared = PrepareSelect(c.query);
+    ASSERT_TRUE(prepared.ok());
+    Cursor cursor = OpenCursor(solver, prepared.value());
+    EXPECT_EQ(materialized.value().rows, Drain(cursor));
+    EXPECT_TRUE(cursor.status().ok());
   }
 }
 

@@ -1,5 +1,5 @@
 // RegionArena unit tests plus the arena-reuse regression suite: identical
-// results and deterministic stats with reuse_region_memory on vs off across
+// results and deterministic stats from a warm arena and a cold one across
 // the full toggle matrix, warm-arena reuse across queries on one Matcher,
 // and no stale-candidate leakage when a shared ArenaPool hops between
 // Matchers bound to different datasets (the ASan CI job turns any lifetime
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -103,17 +104,17 @@ TEST(MemoMapTest, PutFindReset) {
 
 TEST(RegionArenaTest, PooledStoreRoundTrip) {
   RegionArena a;
-  a.PrepareQuery(4, /*pooled=*/true);
+  a.PrepareQuery(4);
   // Two lists on node 1 (depth 1), interleaved with one on node 2 (depth 2):
   // the exploration DFS pattern (deeper lists open and close while a
   // shallower one is still open).
-  a.BeginList(1, 1, 100);
-  a.Append(1, 1, 10);
-  a.BeginList(2, 2, 10);
-  a.Append(2, 2, 20);
-  a.Append(2, 2, 21);
+  a.BeginList(1, 1);
+  a.Append(1, 10);
+  a.BeginList(2, 2);
+  a.Append(2, 20);
+  a.Append(2, 21);
   EXPECT_EQ(a.EndList(2, 2, 10), 2u);
-  a.Append(1, 1, 11);
+  a.Append(1, 11);
   EXPECT_EQ(a.EndList(1, 1, 100), 2u);
 
   auto l1 = a.Lookup(1, 1, 100);
@@ -124,32 +125,14 @@ TEST(RegionArenaTest, PooledStoreRoundTrip) {
   ASSERT_EQ(l2.size(), 2u);
   EXPECT_EQ(l2[0], 20u);
   EXPECT_TRUE(a.Lookup(1, 1, 999).empty());
+  a.MemoPut(99, true);
+  EXPECT_EQ(a.MemoFind(99), 1);
+  EXPECT_EQ(a.MemoFind(98), -1);
 
   a.ResetRegion();
   EXPECT_TRUE(a.Lookup(1, 1, 100).empty());
   EXPECT_TRUE(a.Lookup(2, 2, 10).empty());
-}
-
-TEST(RegionArenaTest, LegacyStoreMatchesPooledSemantics) {
-  for (bool pooled : {true, false}) {
-    RegionArena a;
-    a.PrepareQuery(3, pooled);
-    a.BeginList(1, 1, 5);
-    a.Append(1, 1, 1);
-    a.Append(1, 1, 2);
-    a.Append(1, 1, 3);
-    EXPECT_EQ(a.EndList(1, 1, 5), 3u) << "pooled=" << pooled;
-    auto l = a.Lookup(1, 1, 5);
-    ASSERT_EQ(l.size(), 3u) << "pooled=" << pooled;
-    EXPECT_EQ(l[2], 3u);
-    EXPECT_TRUE(a.Lookup(2, 1, 5).empty());
-    a.MemoPut(99, true);
-    EXPECT_EQ(a.MemoFind(99), 1);
-    EXPECT_EQ(a.MemoFind(98), -1);
-    a.ResetRegion();
-    EXPECT_TRUE(a.Lookup(1, 1, 5).empty());
-    EXPECT_EQ(a.MemoFind(99), -1);
-  }
+  EXPECT_EQ(a.MemoFind(99), -1);
 }
 
 TEST(ArenaPoolTest, AcquireWarmsOnRelease) {
@@ -166,11 +149,12 @@ TEST(ArenaPoolTest, AcquireWarmsOnRelease) {
 }
 
 // ---------------------------------------------------------------------------
-// Reuse on/off equivalence over the randomized matrix.
+// Warm vs cold arena equivalence over the randomized matrix.
 // ---------------------------------------------------------------------------
 
 /// The deterministic slice of MatchStats (excludes wall-clock timings and
-/// the arena bookkeeping, which legitimately differ between storage modes).
+/// the arena bookkeeping, which legitimately differ between warm and cold
+/// arenas).
 std::string DeterministicStats(const MatchStats& s) {
   std::string out;
   out += "solutions=" + std::to_string(s.num_solutions);
@@ -185,13 +169,20 @@ std::string DeterministicStats(const MatchStats& s) {
   return out;
 }
 
-TEST(ArenaReuse, IdenticalResultsAndStatsAcrossToggleMatrix) {
+TEST(ArenaReuse, WarmArenaMatchesColdAcrossToggleMatrix) {
+  // One pool per (semantics, toggle combo), shared across seeds: each seed's
+  // query checks out the arena the previous seed's query left warm — on
+  // another graph, with another query shape — and must match a fresh
+  // Matcher, whose arena is cold, result for result and counter for counter.
+  std::array<ArenaPool, 32> pools;
+  uint64_t seeds_run = 0, warm_runs = 0;
   for (uint64_t seed = 200; seed < 215; ++seed) {
     util::Rng rng(seed);
     rdf::Dataset ds = MakeRandomDataset(rng);
     graph::DataGraph g = graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware);
     if (g.num_vertices() == 0 || g.num_edge_labels() == 0) continue;
     SCOPED_TRACE("seed=" + std::to_string(seed));
+    ++seeds_run;
 
     graph::QueryGraph q;
     const uint32_t nq = 2 + static_cast<uint32_t>(rng.Below(2));
@@ -210,29 +201,29 @@ TEST(ArenaReuse, IdenticalResultsAndStatsAcrossToggleMatrix) {
       q.AddEdge(e);
     }
 
+    size_t pi = 0;
     for (MatchSemantics sem :
          {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
-      // Only the paper's 16 combos: the reuse bit is the variable under test.
-      for (int mask = 0; mask < 16; ++mask) {
-        MatchOptions on;
-        on.semantics = sem;
-        on.use_intersection = mask & 1;
-        on.use_nlf = mask & 2;
-        on.use_degree_filter = mask & 4;
-        on.reuse_matching_order = mask & 8;
-        on.reuse_region_memory = true;
-        MatchOptions off = on;
-        off.reuse_region_memory = false;
-
-        MatchStats s_on, s_off;
-        auto r_on = engine::Matcher(g, on).FindAll(q, &s_on);
-        auto r_off = engine::Matcher(g, off).FindAll(q, &s_off);
-        EXPECT_EQ(r_on, r_off) << DescribeToggles(on);
-        EXPECT_EQ(DeterministicStats(s_on), DeterministicStats(s_off))
-            << DescribeToggles(on);
+      for (const MatchOptions& o : AllToggleCombos(sem)) {
+        ArenaPool& pool = pools[pi++];
+        const bool expect_warm = pool.idle() > 0;
+        MatchStats s_warm, s_cold;
+        auto r_warm = engine::Matcher(g, o, &pool).FindAll(q, &s_warm);
+        auto r_cold = engine::Matcher(g, o).FindAll(q, &s_cold);
+        EXPECT_EQ(r_warm, r_cold) << DescribeToggles(o);
+        EXPECT_EQ(DeterministicStats(s_warm), DeterministicStats(s_cold))
+            << DescribeToggles(o);
+        EXPECT_EQ(s_cold.arena_warm, 0u) << DescribeToggles(o);
+        if (expect_warm) {
+          EXPECT_GT(s_warm.arena_warm, 0u) << DescribeToggles(o);
+          ++warm_runs;
+        }
       }
     }
   }
+  // Every seed after the first one run checks all 32 combos out warm.
+  ASSERT_GE(seeds_run, 2u);
+  EXPECT_EQ(warm_runs, 32 * (seeds_run - 1));
 }
 
 // ---------------------------------------------------------------------------

@@ -281,9 +281,9 @@ TEST(SolverCrosscheck, MatcherVsBruteForceOnRandomGraphs) {
 // Evaluate calls — is differentially tested, not just bare BGP matching.
 //
 // Runs a handful of seeds by default (fast enough for every ctest run);
-// nightly CI scales it up with TURBO_FUZZ_ITERS=150+. Both region-storage
-// modes, compressed adjacency storage, and a parallel configuration are
-// checked against both baselines.
+// nightly CI scales it up with TURBO_FUZZ_ITERS=150+. Plain and compressed
+// adjacency storage and a parallel configuration are checked against both
+// baselines.
 // GROUP BY / aggregate tier: random grouped queries (COUNT / SUM / MIN /
 // MAX / AVG, DISTINCT-inside, HAVING) over the 100-500-entity datasets,
 // checked against the brute-force reference evaluator — which aggregates
@@ -326,18 +326,14 @@ TEST(SolverCrosscheck, GroupAggregateFuzz) {
     graph::DataGraph typed = graph::DataGraph::Build(c.ds, graph::TransformMode::kTypeAware);
     graph::DataGraph typed_c = graph::DataGraph::Build(
         c.ds, graph::TransformMode::kTypeAware, graph::StorageMode::kCompressed);
-    for (bool reuse : {true, false}) {
-      MatchOptions o;
-      o.reuse_region_memory = reuse;
-      sparql::TurboBgpSolver turbo_typed(typed, c.ds.dict(), o);
-      EXPECT_EQ(expected, RunAggregated(turbo_typed, c.query))
-          << "type-aware" << DescribeToggles(o);
-      sparql::TurboBgpSolver turbo_direct(direct, c.ds.dict(), o);
-      EXPECT_EQ(expected, RunAggregated(turbo_direct, c.query))
-          << "direct" << DescribeToggles(o);
-      sparql::TurboBgpSolver turbo_typed_c(typed_c, c.ds.dict(), o);
+    {
+      sparql::TurboBgpSolver turbo_typed(typed, c.ds.dict());
+      EXPECT_EQ(expected, RunAggregated(turbo_typed, c.query)) << "type-aware";
+      sparql::TurboBgpSolver turbo_direct(direct, c.ds.dict());
+      EXPECT_EQ(expected, RunAggregated(turbo_direct, c.query)) << "direct";
+      sparql::TurboBgpSolver turbo_typed_c(typed_c, c.ds.dict());
       EXPECT_EQ(expected, RunAggregated(turbo_typed_c, c.query))
-          << "type-aware compressed" << DescribeToggles(o);
+          << "type-aware compressed";
     }
     {
       MatchOptions o;
@@ -398,32 +394,25 @@ TEST(SolverCrosscheck, LargeGraphExecutorFuzz) {
     graph::DataGraph typed_c = graph::DataGraph::Build(
         c.ds, graph::TransformMode::kTypeAware, graph::StorageMode::kCompressed);
 
-    for (bool reuse : {true, false}) {
-      MatchOptions o;
-      o.reuse_region_memory = reuse;
-      sparql::TurboBgpSolver turbo_typed(typed, c.ds.dict(), o);
-      EXPECT_EQ(reference, RunExecutor(turbo_typed, c.query))
-          << "type-aware" << DescribeToggles(o);
+    {
+      sparql::TurboBgpSolver turbo_typed(typed, c.ds.dict());
+      EXPECT_EQ(reference, RunExecutor(turbo_typed, c.query)) << "type-aware";
       EXPECT_EQ(reference, RunStreamingCursor(turbo_typed, c.query, cap))
-          << "streaming type-aware cap=" << cap << DescribeToggles(o);
-      sparql::TurboBgpSolver turbo_typed_c(typed_c, c.ds.dict(), o);
-      EXPECT_EQ(reference, RunExecutor(turbo_typed_c, c.query))
-          << "type-aware compressed" << DescribeToggles(o);
-      sparql::TurboBgpSolver turbo_direct(direct, c.ds.dict(), o);
-      EXPECT_EQ(reference, RunExecutor(turbo_direct, c.query))
-          << "direct" << DescribeToggles(o);
-      if (reuse) {
-        // The solver's arena pool must actually have been exercised: the
-        // executor re-enters Evaluate per OPTIONAL row. The streaming
-        // pipeline nests those calls inside the outer Match's callback, so
-        // up to one arena per active pipeline stage (base BGP, a UNION
-        // branch, an OPTIONAL extension) is checked out concurrently — each
-        // stage's first checkout is cold, every later one must be warm.
-        const engine::MatchStats& st = turbo_typed.last_stats();
-        EXPECT_GT(st.arena_workers, 0u);
-        EXPECT_LE(st.arena_workers - st.arena_warm, 3u)
-            << "more cold arena checkouts than concurrent pipeline stages";
-      }
+          << "streaming type-aware cap=" << cap;
+      sparql::TurboBgpSolver turbo_typed_c(typed_c, c.ds.dict());
+      EXPECT_EQ(reference, RunExecutor(turbo_typed_c, c.query)) << "type-aware compressed";
+      sparql::TurboBgpSolver turbo_direct(direct, c.ds.dict());
+      EXPECT_EQ(reference, RunExecutor(turbo_direct, c.query)) << "direct";
+      // The solver's arena pool must actually have been exercised: the
+      // executor re-enters Evaluate per OPTIONAL row. The streaming
+      // pipeline nests those calls inside the outer Match's callback, so
+      // up to one arena per active pipeline stage (base BGP, a UNION
+      // branch, an OPTIONAL extension) is checked out concurrently — each
+      // stage's first checkout is cold, every later one must be warm.
+      const engine::MatchStats& st = turbo_typed.last_stats();
+      EXPECT_GT(st.arena_workers, 0u);
+      EXPECT_LE(st.arena_workers - st.arena_warm, 3u)
+          << "more cold arena checkouts than concurrent pipeline stages";
     }
     {
       MatchOptions o;

@@ -647,7 +647,6 @@ TEST_F(StreamingLubm, AbandonMidStreamAcrossAllFourSolvers) {
 TEST_F(StreamingLubm, ParallelWorkersBatchDeliveryIntoTheChannel) {
   engine::MatchOptions mo;
   mo.num_threads = 3;
-  mo.stream_batch = 4;
   TurboBgpSolver solver(*typed_, ds_->dict(), mo);
   QueryEngine engine(&solver);
   const std::string q = StudentQuery();
