@@ -188,20 +188,36 @@ bool HttpResponseWriter::Send(const char* data, size_t n) {
   return SendV(&iov, 1);
 }
 
+bool HttpResponseWriter::WaitWritable() {
+  int timeout_ms = -1;
+  if (deadline_.time_since_epoch().count() != 0) {
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline_ - std::chrono::steady_clock::now());
+    timeout_ms = static_cast<int>(std::max(left, kLateWriteGrace).count());
+  }
+  pollfd p{fd_, POLLOUT, 0};
+  for (;;) {
+    int r = ::poll(&p, 1, timeout_ms);
+    if (r >= 0) return r > 0;  // 0: the deadline passed with the socket still full
+    if (errno != EINTR) return false;
+  }
+}
+
 bool HttpResponseWriter::SendV(iovec* iov, size_t n) {
   if (failed_) return false;
   while (n > 0) {
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = n;
-    ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    // Never block inside sendmsg: a full socket waits in WaitWritable, which
+    // bounds the wait by the deadline.
+    ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (w < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {  // non-blocking socket full
-        pollfd p{fd_, POLLOUT, 0};
-        if (::poll(&p, 1, -1) >= 0 || errno == EINTR) continue;
-      }
-      failed_ = true;  // peer gone (EPIPE/ECONNRESET) or socket shut down
+      if ((errno == EAGAIN || errno == EWOULDBLOCK) && WaitWritable()) continue;
+      // Peer gone (EPIPE/ECONNRESET), socket shut down, or a peer that
+      // stopped reading outlasted the deadline.
+      failed_ = true;
       return false;
     }
     // Drop the fully written entries, then trim the partly written one.
@@ -232,34 +248,45 @@ bool HttpResponseWriter::WriteSimple(int status, const std::string& content_type
   return Send(head.data(), head.size()) && Send(body.data(), body.size());
 }
 
-bool HttpResponseWriter::BeginChunked(int status, const std::string& content_type,
+void HttpResponseWriter::BeginChunked(int status, const std::string& content_type,
                                       const std::map<std::string, std::string>& extra,
                                       const std::string& trailer_names, bool keep_alive) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " + StatusReason(status) +
-                     "\r\nContent-Type: " + content_type +
-                     "\r\nTransfer-Encoding: chunked\r\nConnection: " +
-                     (keep_alive ? "keep-alive" : "close") + "\r\n";
-  if (!trailer_names.empty()) head += "Trailer: " + trailer_names + "\r\n";
-  for (const auto& [k, v] : extra) head += k + ": " + v + "\r\n";
-  head += "\r\n";
-  return Send(head.data(), head.size());
+  head_ = "HTTP/1.1 " + std::to_string(status) + " " + StatusReason(status) +
+          "\r\nContent-Type: " + content_type +
+          "\r\nTransfer-Encoding: chunked\r\nConnection: " +
+          (keep_alive ? "keep-alive" : "close") + "\r\n";
+  if (!trailer_names.empty()) head_ += "Trailer: " + trailer_names + "\r\n";
+  for (const auto& [k, v] : extra) head_ += k + ": " + v + "\r\n";
+  head_ += "\r\n";
 }
 
 bool HttpResponseWriter::Chunk(const std::string& data) {
   if (data.empty()) return !failed_;
   char size_line[32];
   int n = std::snprintf(size_line, sizeof size_line, "%zx\r\n", data.size());
-  iovec iov[3] = {{size_line, static_cast<size_t>(n)},
+  iovec iov[4] = {{head_.data(), head_.size()},
+                  {size_line, static_cast<size_t>(n)},
                   {const_cast<char*>(data.data()), data.size()},
                   {const_cast<char*>("\r\n"), 2}};
-  return SendV(iov, 3);
+  bool ok = SendV(iov, 4);
+  head_.clear();
+  return ok;
 }
 
-bool HttpResponseWriter::EndChunked(const std::map<std::string, std::string>& trailers) {
-  std::string tail = "0\r\n";
+bool HttpResponseWriter::EndChunked(const std::map<std::string, std::string>& trailers,
+                                    const std::string& last) {
+  char size_line[32] = {};
+  int n = last.empty() ? 0 : std::snprintf(size_line, sizeof size_line, "%zx\r\n", last.size());
+  std::string tail = last.empty() ? "0\r\n" : "\r\n0\r\n";
   for (const auto& [k, v] : trailers) tail += k + ": " + v + "\r\n";
   tail += "\r\n";
-  return Send(tail.data(), tail.size());
+  iovec iov[4] = {{head_.data(), head_.size()},
+                  {size_line, static_cast<size_t>(n)},
+                  {const_cast<char*>(last.data()), last.size()},
+                  {tail.data(), tail.size()}};
+  bool ok = SendV(iov, 4);
+  head_.clear();
+  return ok;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <sys/uio.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -49,11 +50,22 @@ util::Status ReadHttpRequest(int fd, HttpRequest* req, std::string* leftover);
 
 /// Response writer over one socket. Either use WriteSimple (fixed-length,
 /// one shot) or the streaming sequence BeginChunked → Chunk... → EndChunked.
-/// Every write reports failure (peer gone) so callers can abandon work; once
-/// a write fails the writer stays failed.
+/// Every write reports failure (peer gone, or a deadline passed while the
+/// peer was not reading) so callers can abandon work; once a write fails the
+/// writer stays failed.
 class HttpResponseWriter {
  public:
   explicit HttpResponseWriter(int fd) : fd_(fd) {}
+
+  /// Bounds how long a write waits for a peer that has stopped reading: a
+  /// full socket is waited on until `deadline`, but never for less than
+  /// kLateWriteGrace (so a reader that keeps up still gets the end of a
+  /// response the deadline cut short); then the write fails. The epoch
+  /// default waits as long as the peer stays connected.
+  void set_deadline(std::chrono::steady_clock::time_point deadline) {
+    deadline_ = deadline;
+  }
+  static constexpr std::chrono::milliseconds kLateWriteGrace{100};
 
   /// Complete fixed-length response (status line, headers, body).
   bool WriteSimple(int status, const std::string& content_type,
@@ -62,16 +74,19 @@ class HttpResponseWriter {
                    bool keep_alive = true);
 
   /// Starts a chunked response. `trailer_names` (comma-separated) announces
-  /// trailers EndChunked will send.
-  bool BeginChunked(int status, const std::string& content_type,
+  /// trailers EndChunked will send. The status line and headers are held
+  /// back and leave in the same sendmsg as the first chunk (or the end).
+  void BeginChunked(int status, const std::string& content_type,
                     const std::map<std::string, std::string>& extra_headers = {},
                     const std::string& trailer_names = {}, bool keep_alive = true);
   /// Sends one chunk — size line, payload and CRLF in one sendmsg, resumed
   /// after partial writes; empty data is a no-op (an empty chunk would
   /// terminate the stream mid-flight).
   bool Chunk(const std::string& data);
-  /// Sends the terminating chunk and any trailers.
-  bool EndChunked(const std::map<std::string, std::string>& trailers = {});
+  /// Sends `last` as a final chunk (none when empty), then the terminating
+  /// chunk and any trailers, all in one sendmsg.
+  bool EndChunked(const std::map<std::string, std::string>& trailers = {},
+                  const std::string& last = {});
 
   bool failed() const { return failed_; }
 
@@ -80,8 +95,12 @@ class HttpResponseWriter {
   /// Writes every byte of `iov[0..n)`, advancing the vector past partial
   /// writes (the entries are consumed).
   bool SendV(iovec* iov, size_t n);
+  /// Waits for socket space under the deadline rule; false on expiry.
+  bool WaitWritable();
 
   int fd_;
+  std::string head_;  ///< a chunked response's held-back status + headers
+  std::chrono::steady_clock::time_point deadline_{};
   bool failed_ = false;
 };
 

@@ -21,6 +21,7 @@
 #include "graph/data_graph.hpp"
 #include "server/http.hpp"
 #include "server/result_encoder.hpp"
+#include "sparql/operators.hpp"
 #include "sparql/parser.hpp"
 #include "store/live_store.hpp"
 
@@ -85,6 +86,124 @@ class ConnQueue {
   bool closed_ = false;
 };
 
+/// A response's rows go out in chunks of about this many bytes, after a
+/// first chunk that carries the first row alone. A response that fills one
+/// such chunk spills: the rest of its rows go to the worker's SpillWriter.
+constexpr size_t kChunkBytes = 8192;
+/// Geometry of the channel from a worker to its writer: rows per batch,
+/// and batches in flight before the worker's pipeline blocks.
+constexpr size_t kSpillBatchRows = 16;
+constexpr size_t kSpillSlots = 4;
+
+using sparql::RowChannel;
+
+/// What one /sparql response is encoded from and written to. The worker
+/// owns it; once the response spills, the writer uses it until Wait().
+struct ResponseBody {
+  ResponseBody(HttpResponseWriter* writer, ResultEncoder* encoder,
+               const std::vector<std::string>* names, const rdf::Dictionary* d)
+      : w(writer), enc(encoder), vars(names), dict(d) {}
+
+  HttpResponseWriter* w;
+  ResultEncoder* enc;
+  const std::vector<std::string>* vars;
+  const rdf::Dictionary* dict;
+  const sparql::LocalVocab* vocab = nullptr;
+  std::string buf;  ///< encoded bytes not yet sent
+  bool broken = false;  ///< the writer gave up on the response
+
+  void Append(const sparql::Row& row) { enc->AppendRow(*vars, row, *dict, vocab, &buf); }
+  /// Sends `buf` as one chunk and empties it.
+  bool Send() {
+    bool ok = w->Chunk(buf);
+    buf.clear();
+    return ok;
+  }
+};
+
+/// A serving worker's writer thread. A response that outgrows its first
+/// full chunk hands its later rows here, so encoding and sending overlap
+/// the worker's matching; a smaller response never touches it.
+class SpillWriter {
+ public:
+  SpillWriter() : thread_([this] { Loop(); }) {}
+  ~SpillWriter() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      quit_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  SpillWriter(const SpillWriter&) = delete;
+  SpillWriter& operator=(const SpillWriter&) = delete;
+
+  /// Starts draining `rows` into `body`: rows are encoded into body->buf,
+  /// which goes out as a chunk whenever it holds kChunkBytes. A failed write
+  /// closes `rows` from the consumer side, so the worker's next push fails
+  /// and its sink stops the search. The caller closes `rows` with
+  /// CloseProducer and then calls Wait before it touches `body` again.
+  void Begin(ResponseBody* body, RowChannel* rows) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      body_ = body;
+      rows_ = rows;
+    }
+    cv_.notify_all();
+  }
+
+  /// Blocks until the writer has drained the closed channel or given up;
+  /// body->buf then holds the encoded rows not yet sent.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return body_ == nullptr; });
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return quit_ || body_ != nullptr; });
+      if (!body_) return;
+      ResponseBody* body = body_;
+      RowChannel* rows = rows_;
+      lock.unlock();
+      try {
+        Drain(body, rows);
+      } catch (...) {  // an encoder failure must not end the process
+        body->broken = true;
+        rows->CloseConsumer();
+      }
+      lock.lock();
+      body_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  static void Drain(ResponseBody* body, RowChannel* rows) {
+    sparql::RowBatch batch;
+    sparql::Row row;
+    while (rows->Pop(&batch) == RowChannel::Op::kOk) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        batch.CopyRow(i, &row);
+        body->Append(row);
+      }
+      if (body->buf.size() >= kChunkBytes && !body->Send()) {
+        body->broken = true;
+        rows->CloseConsumer();
+        return;
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;  ///< a job arrived, a job finished, or quit
+  ResponseBody* body_ = nullptr;  ///< the response being drained, if any
+  RowChannel* rows_ = nullptr;
+  bool quit_ = false;
+  std::thread thread_;  ///< last: starts after the members it reads
+};
+
 uint64_t ParseU64(const std::string& s, uint64_t fallback) {
   if (s.empty()) return fallback;
   char* end = nullptr;
@@ -116,6 +235,7 @@ struct SparqlServer::Impl {
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> rejected_overload{0};
   std::atomic<uint64_t> bad_requests{0};
+  std::atomic<uint64_t> responses_spilled{0};
   std::atomic<uint64_t> updates{0};
   std::atomic<uint32_t> in_flight{0};
 
@@ -149,6 +269,7 @@ struct SparqlServer::Impl {
   }
 
   void WorkerLoop() {
+    SpillWriter writer;  // this worker's writer, joined when the worker exits
     for (;;) {
       int fd = queue.Pop();
       if (fd < 0) return;
@@ -156,7 +277,7 @@ struct SparqlServer::Impl {
         std::lock_guard<std::mutex> lock(conns_mu);
         live_conns.insert(fd);
       }
-      ServeConnection(fd);
+      ServeConnection(fd, &writer);
       {
         std::lock_guard<std::mutex> lock(conns_mu);
         live_conns.erase(fd);
@@ -165,7 +286,7 @@ struct SparqlServer::Impl {
     }
   }
 
-  void ServeConnection(int fd) {
+  void ServeConnection(int fd, SpillWriter* writer) {
     std::string leftover;
     while (!stopping.load()) {
       HttpRequest req;
@@ -179,14 +300,14 @@ struct SparqlServer::Impl {
         return;
       }
       in_flight.fetch_add(1, std::memory_order_relaxed);
-      bool keep = Dispatch(fd, req);
+      bool keep = Dispatch(fd, req, writer);
       in_flight.fetch_sub(1, std::memory_order_relaxed);
       if (!keep) return;
     }
   }
 
   /// Returns whether the connection survives for another request.
-  bool Dispatch(int fd, const HttpRequest& req) {
+  bool Dispatch(int fd, const HttpRequest& req, SpillWriter* writer) {
     bool keep_alive = req.header("connection") != "close";
     HttpResponseWriter w(fd);
     if (req.path == "/stats") {
@@ -195,6 +316,7 @@ struct SparqlServer::Impl {
           "{\"requests\":" + std::to_string(s.requests) +
           ",\"rejected_overload\":" + std::to_string(s.rejected_overload) +
           ",\"bad_requests\":" + std::to_string(s.bad_requests) +
+          ",\"responses_spilled\":" + std::to_string(s.responses_spilled) +
           ",\"plan_cache\":{\"hits\":" + std::to_string(s.plan_cache_hits) +
           ",\"misses\":" + std::to_string(s.plan_cache_misses) +
           ",\"size\":" + std::to_string(plan_cache.size()) + "}";
@@ -267,10 +389,11 @@ struct SparqlServer::Impl {
       return w.WriteSimple(405, "text/plain", "use GET or POST\n", {}, keep_alive) &&
              keep_alive;
     }
-    return HandleQuery(&w, req, keep_alive) && keep_alive;
+    return HandleQuery(&w, req, keep_alive, writer) && keep_alive;
   }
 
-  bool HandleQuery(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive) {
+  bool HandleQuery(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive,
+                   SpillWriter* writer) {
     requests.fetch_add(1, std::memory_order_relaxed);
     std::string query = req.param("query");
     if (query.empty() &&
@@ -283,11 +406,6 @@ struct SparqlServer::Impl {
 
     // Per-request execution controls, clamped to the server-wide caps.
     sparql::ExecOptions opts;
-    opts.streaming = req.param("stream") != "0";
-    opts.channel_capacity = static_cast<uint32_t>(ParseU64(
-        !req.param("capacity").empty() ? req.param("capacity")
-                                       : req.header("x-channel-capacity"),
-        config.default_channel_capacity));
     opts.limit_budget = ParseU64(req.param("limit"), sparql::kNoBudget);
     opts.row_budget = std::min(
         config.max_row_budget,
@@ -342,47 +460,85 @@ struct SparqlServer::Impl {
       return w->WriteSimple(500, "text/plain", cursor.message() + "\n", headers,
                             keep_alive);
     sparql::Cursor& cur = cursor.value();
+    w->set_deadline(opts.deadline);
+    ResponseBody body{w, enc.get(), &cur.var_names(),
+                      snap ? &snap->dict() : &engine->dict()};
 
-    // First Next before the status line commits: an early failure still
-    // gets a real status code instead of a 200 that trails off. A row
-    // budget is not a failure: tripped before the first row (a sort or
-    // group over more rows than the budget) it answers like one tripped
-    // after it — a 200 whose body carries the stop marker and trailer.
-    sparql::Row row;
-    bool has_row = cur.Next(&row);
-    if (!has_row && !cur.status().ok() &&
-        cur.stop_cause() != sparql::StopCause::kRowBudget) {
-      int code = cur.stop_cause() == sparql::StopCause::kDeadline ? 408 : 500;
-      return w->WriteSimple(code, "text/plain",
-                            cur.status().message() + " (stop cause: " +
-                                sparql::ToString(cur.stop_cause()) + ")\n",
-                            headers, keep_alive);
-    }
-
-    if (!w->BeginChunked(200, enc->content_type(), headers, "X-Stop-Cause", keep_alive))
-      return false;
-    const std::vector<std::string>& vars = cur.var_names();
-    std::shared_ptr<const sparql::LocalVocab> vocab = cur.local_vocab();
-    const rdf::Dictionary& dict = snap ? snap->dict() : engine->dict();
-
-    // One buffer per response: rows append into it and it is reused for
-    // every chunk. The first row flushes immediately (time-to-first-byte
-    // tracks the cursor, not the batch); after that, ~8KB per chunk.
-    std::string buf = enc->Header(vars);
-    bool first_flush = true;
-    while (has_row) {
-      enc->AppendRow(vars, row, dict, vocab.get(), &buf);
-      if (first_flush || buf.size() >= 8192) {
-        first_flush = false;
-        if (!w->Chunk(buf)) return false;  // client gone: abandon the cursor
-        buf.clear();
+    // The plan runs on this worker with the sink below as its root. The
+    // status line waits for the first row (or the end of the run), so an
+    // early failure still gets a real status code. The first row goes out
+    // alone — time to first byte tracks the search — then ~8KB chunks.
+    // Once a response has filled a full chunk it spills: later rows travel
+    // in batches to this worker's writer, which encodes and sends them
+    // while the search goes on. A failed or timed-out write stops the
+    // search (the sink returns kStop; past the deadline that is kDeadline).
+    sparql::EvalControl control;
+    control.cancel = opts.cancel_token;
+    control.deadline = opts.deadline;
+    bool begun = false;
+    auto begin = [&] {
+      begun = true;
+      w->BeginChunked(200, enc->content_type(), headers, "X-Stop-Cause", keep_alive);
+      body.buf = enc->Header(*body.vars);
+    };
+    std::unique_ptr<RowChannel> spill;
+    sparql::RowBatch batch;
+    auto hand_batch = [&] {
+      auto op = control.cancel || control.has_deadline()
+                    ? spill->Push(std::move(batch),
+                                  [&] { return control.cancelled() || control.expired(); })
+                    : spill->Push(std::move(batch));
+      batch.Clear();
+      return op == RowChannel::Op::kOk;
+    };
+    cur.Run([&](const sparql::Row& row) {
+      if (spill) {
+        if (batch.empty()) batch.Reserve(kSpillBatchRows, row.size());
+        batch.Append(row);
+        if (batch.size() < kSpillBatchRows || hand_batch())
+          return sparql::EmitResult::kContinue;
+        return sparql::EmitResult::kStop;
       }
-      has_row = cur.Next(&row);
+      if (!begun) {
+        begin();
+        body.vocab = cur.local_vocab().get();  // the cursor keeps it alive
+        body.Append(row);
+        return body.Send() ? sparql::EmitResult::kContinue : sparql::EmitResult::kStop;
+      }
+      body.Append(row);
+      if (body.buf.size() < kChunkBytes) return sparql::EmitResult::kContinue;
+      if (!body.Send()) return sparql::EmitResult::kStop;
+      spill = std::make_unique<RowChannel>(kSpillSlots);
+      responses_spilled.fetch_add(1, std::memory_order_relaxed);
+      writer->Begin(&body, spill.get());
+      return sparql::EmitResult::kContinue;
+    });
+    bool handed = true;  // false: the last rows never reached the writer
+    if (spill) {
+      if (!batch.empty()) handed = hand_batch();
+      spill->CloseProducer();
+      writer->Wait();
     }
+    // Client gone or stalled past the deadline: close the connection.
+    if (!handed || w->failed() || body.broken) return false;
+
     sparql::StopCause cause = cur.stop_cause();
-    buf += enc->Footer(cause);
-    if (!w->Chunk(buf)) return false;
-    return w->EndChunked({{"X-Stop-Cause", sparql::ToString(cause)}});
+    if (!begun) {
+      // No row was sent, so the status line is still open. A row budget is
+      // not a failure: tripped before the first row (a sort or group over
+      // more rows than the budget) it answers like one tripped after it — a
+      // 200 whose body carries the stop marker and trailer.
+      if (!cur.status().ok() && cause != sparql::StopCause::kRowBudget) {
+        int code = cause == sparql::StopCause::kDeadline ? 408 : 500;
+        return w->WriteSimple(code, "text/plain",
+                              cur.status().message() + " (stop cause: " +
+                                  sparql::ToString(cause) + ")\n",
+                              headers, keep_alive);
+      }
+      begin();
+    }
+    body.buf += enc->Footer(cause);
+    return w->EndChunked({{"X-Stop-Cause", sparql::ToString(cause)}}, body.buf);
   }
 
   bool HandleUpdate(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive) {
@@ -425,6 +581,7 @@ struct SparqlServer::Impl {
     s.requests = requests.load(std::memory_order_relaxed);
     s.rejected_overload = rejected_overload.load(std::memory_order_relaxed);
     s.bad_requests = bad_requests.load(std::memory_order_relaxed);
+    s.responses_spilled = responses_spilled.load(std::memory_order_relaxed);
     s.plan_cache_hits = plan_cache.hits();
     s.plan_cache_misses = plan_cache.misses();
     s.updates = updates.load(std::memory_order_relaxed);

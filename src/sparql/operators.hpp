@@ -17,7 +17,8 @@
 //   SliceOp          OFFSET/LIMIT; the kStop origin for LIMIT pushdown
 //   CollectOp        root sink feeding the Cursor's delivery batch
 //   ChannelSink      streaming root sink: row batches into the channel
-//   RelayOp          glue: terminates a branch sub-chain into a callback
+//   RelayOp          glue: terminates a branch sub-chain (or a push run's
+//                    pipeline) into a callback
 //
 // Execution model: produce/consume (push), not Volcano pull. The solvers
 // enumerate through callbacks that cannot be suspended mid-recursion, so a
@@ -27,8 +28,9 @@
 // would: when SliceOp has delivered OFFSET+LIMIT rows its kStop unwinds
 // through every operator into SubgraphSearch, and blocking operators
 // (sort/group) absorb the demand boundary exactly where a pull tree would
-// block. The Cursor remains the pull surface; the producer-thread
-// incremental cursor on the ROADMAP slots in as one more operator here.
+// block. Cursor::Next is the pull surface over a root sink (CollectOp, or
+// ChannelSink on a producer thread); Cursor::Run pushes straight into the
+// caller's sink on the calling thread (a RelayOp root).
 //
 // Lifecycle: Open() once (resets per-run state down the chain), Push() per
 // input row, Finish() once at end of input (blocking operators emit their
@@ -212,11 +214,13 @@ class BgpSource final : public RowOp {
   std::vector<const FilterExpr*> pushable_;
 };
 
-/// Terminates a branch sub-chain into a callback on its owner.
+/// Terminates a chain into a callback: a branch sub-chain into its owner,
+/// or a push run's pipeline into the caller's sink.
 class RelayOp final : public RowOp {
  public:
-  RelayOp(std::function<EmitResult(const Row&)> fn, ExecState* state)
-      : RowOp("Relay", nullptr, state), fn_(std::move(fn)) {}
+  RelayOp(std::function<EmitResult(const Row&)> fn, ExecState* state,
+          std::string label = "Relay")
+      : RowOp(std::move(label), nullptr, state), fn_(std::move(fn)) {}
   EmitResult DoPush(const Row& row) override { return fn_(row); }
 
  private:

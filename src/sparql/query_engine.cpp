@@ -319,11 +319,17 @@ struct Cursor::State {
   std::vector<std::pair<uint64_t, uint64_t>> explain_snapshot;
 
   ~State();
-  void Run();             // materialized execution (sink = CollectOp)
+  /// Runs the pipeline into `root` on this thread and settles status/cause/
+  /// counters (materialized: CollectOp; push: the caller's sink).
+  void Run(RowOp* root);
   void StartStreaming();  // create the channel, spawn the producer
   void ProducerMain();
   void PublishExplainSnapshot();
-  void RunPipeline(bool streaming);
+  /// Runs `body`, turning anything it throws into a kProducerFailed stop
+  /// with the original message.
+  template <typename Body>
+  void Guarded(Body&& body);
+  void RunPipeline(RowOp* root);
   /// Consumer side of streaming: pops the next batch into `delivered`.
   /// False at end-of-stream (status/counters then settled).
   bool PopBatch();
@@ -408,9 +414,9 @@ RowOp* Cursor::State::BuildWhereChain(const GroupPattern& g, RowOp* next) {
   return cur;
 }
 
-void Cursor::State::Run() {
+void Cursor::State::Run(RowOp* root) {
   ran = true;
-  RunPipeline(/*streaming=*/false);
+  Guarded([&] { RunPipeline(root); });
   const ExecState& st = pipe.state;
   if (!st.error.ok()) {
     status = st.error;
@@ -443,25 +449,31 @@ void Cursor::State::PublishExplainSnapshot() {
     explain_snapshot[i] = {pipe.ops[i]->rows_in(), pipe.ops[i]->rows_out()};
 }
 
+template <typename Body>
+void Cursor::State::Guarded(Body&& body) {
+  // The library reports failures through Status, but neither a producer
+  // thread nor a server worker may let anything escape — an exception there
+  // would terminate the process.
+  try {
+    body();
+  } catch (const std::exception& e) {
+    pipe.state.Fail(util::Status::Error(std::string("producer failed: ") + e.what()),
+                    StopCause::kProducerFailed);
+  } catch (...) {
+    pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
+                    StopCause::kProducerFailed);
+  }
+}
+
 void Cursor::State::ProducerMain() {
-  // The library reports failures through Status, but a producer thread must
-  // not let anything escape — an exception here would terminate the
-  // process. It becomes a kProducerFailed status with the original message.
-  auto run = [this](auto&& body) {
-    try {
-      body();
-    } catch (const std::exception& e) {
-      pipe.state.Fail(util::Status::Error(std::string("producer failed: ") + e.what()),
-                      StopCause::kProducerFailed);
-    } catch (...) {
-      pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
-                      StopCause::kProducerFailed);
-    }
-  };
-  run([this] { RunPipeline(/*streaming=*/true); });
+  pipe.state.control.abandon = &abandoned;
+  sink = pipe.Make<ChannelSink>(
+      channel.get(), DeliveryBatching::For(opts.channel_capacity).rows,
+      [this] { PublishExplainSnapshot(); }, &pipe.state);
+  Guarded([this] { RunPipeline(sink); });
   // However the pipeline stopped — end of input, LIMIT, row budget,
   // deadline, an exception — the rows it emitted still reach the consumer.
-  if (sink) run([this] { sink->Flush(); });
+  Guarded([this] { sink->Flush(); });
   producer_done.store(true, std::memory_order_release);
   channel->CloseProducer();
 }
@@ -488,7 +500,7 @@ void Cursor::State::Settle(util::Status consumer_status, StopCause consumer_caus
   stream_ended = true;
 }
 
-void Cursor::State::RunPipeline(bool streaming) {
+void Cursor::State::RunPipeline(RowOp* root) {
   const PreparedQuery::Impl& p = *prepared;
   const SelectQuery& q = p.query;
   const rdf::Dictionary& dict = solver->dict();
@@ -496,7 +508,6 @@ void Cursor::State::RunPipeline(bool streaming) {
 
   st->control.cancel = opts.cancel_token;
   st->control.deadline = opts.deadline;
-  if (streaming) st->control.abandon = &abandoned;
   if (auto s = st->control.Check(); !s.ok()) {
     st->Fail(std::move(s), CauseOf(st->control, StopCause::kProducerFailed));
     return;
@@ -521,14 +532,7 @@ void Cursor::State::RunPipeline(bool streaming) {
         std::make_unique<FilterEvaluator>(dict, p.post_vars, local_vocab.get());
 
   // ---- Build the modifier chain, back to front. ----
-  RowOp* cur;
-  if (streaming)
-    cur = sink = pipe.Make<ChannelSink>(
-        channel.get(), DeliveryBatching::For(opts.channel_capacity).rows,
-        [this] { PublishExplainSnapshot(); }, st);
-  else
-    cur = pipe.Make<CollectOp>(&delivered, st);
-  cur = pipe.Make<SliceOp>(static_cast<uint64_t>(q.offset), limit, cur, st);
+  RowOp* cur = pipe.Make<SliceOp>(static_cast<uint64_t>(q.offset), limit, root, st);
 
   if (!q.order_by.empty()) {
     SortKeys keys;
@@ -681,14 +685,36 @@ bool Cursor::Next(Row* row) {
     if (s.opts.streaming)
       s.StartStreaming();
     else
-      s.Run();
+      s.Run(s.pipe.Make<CollectOp>(&s.delivered, &s.pipe.state));
   }
   // One serve path for both modes: rows are copied out of the flat batch
   // into the caller's row, which a reused Row absorbs without allocating.
   while (s.served >= s.delivered.size())
-    if (!s.opts.streaming || !s.PopBatch()) return false;
+    if (!s.channel || !s.PopBatch()) return false;
   s.delivered.CopyRow(s.served++, row);
   return true;
+}
+
+void Cursor::Run(const RowSink& sink) {
+  if (!state_) return;
+  State& s = *state_;
+  if (s.ran) {
+    s.status = util::Status::Error("cursor already ran");
+    s.cause = StopCause::kProducerFailed;
+    return;
+  }
+  ExecState* st = &s.pipe.state;
+  s.Run(s.pipe.Make<RelayOp>(
+      [&sink, st](const Row& row) {
+        if (sink(row) == EmitResult::kContinue) return EmitResult::kContinue;
+        // A sink that gave up because the caller's deadline or cancel fired
+        // (a write that waited out the deadline) ends the run with that
+        // cause; any other sink stop is a clean early end, like LIMIT.
+        if (util::Status c = st->control.Check(); !c.ok())
+          st->Fail(std::move(c), CauseOf(st->control, StopCause::kProducerFailed));
+        return EmitResult::kStop;
+      },
+      st, "Sink"));
 }
 
 const util::Status& Cursor::status() const {
@@ -728,7 +754,7 @@ std::string Cursor::Explain() {
     if (s.opts.streaming)
       s.StartStreaming();
     else
-      s.Run();
+      s.Run(s.pipe.Make<CollectOp>(&s.delivered, &s.pipe.state));
   }
   // A still-running streaming producer is mutating the per-operator counts,
   // so never render the live tree mid-stream. Instead render the snapshot
@@ -736,7 +762,7 @@ std::string Cursor::Explain() {
   // copy of all counters taken just before a batch was handed to the channel.
   // producer_done is a release store after the pipeline's last write, so
   // once observed the live tree is stable even before Settle runs.
-  if (s.opts.streaming && !s.producer_done.load(std::memory_order_acquire)) {
+  if (s.channel && !s.producer_done.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(s.explain_mu);
     if (s.explain_snapshot.empty())
       return "(streaming execution in progress; no rows delivered yet)\n";

@@ -130,8 +130,9 @@ class PreparedQuery {
 /// QueryEngine::Prepare.
 util::Result<PreparedQuery> PrepareSelect(SelectQuery q);
 
-/// A streaming result handle. Next() delivers projected rows in the same
-/// order Executor::Execute would return them; status() reports how the
+/// A result handle. Next() delivers projected rows in the same
+/// order Executor::Execute would return them, or Run() pushes them into a
+/// caller's sink; status() reports how the
 /// stream ended (Ok for completion, LIMIT, or budget-satisfied stops; an
 /// error for cancellation / deadline / row-budget violations or a
 /// producer-side failure — any rows already delivered remain valid), and
@@ -144,10 +145,23 @@ util::Result<PreparedQuery> PrepareSelect(SelectQuery q);
 /// pops at the consumer's pace, and teardown is clean: the destructor
 /// signals the producer, drains the channel, and joins the thread, so
 /// abandoning a cursor mid-stream terminates the subgraph search itself.
+/// Run() needs neither: the pipeline runs on the calling thread with the
+/// sink as its root, so a slow sink is the backpressure.
 /// The cursor must not outlive the solver/engine it was opened on.
 class Cursor {
  public:
   Cursor() = default;
+
+  /// Push entry point: runs the plan on the calling thread and hands each
+  /// delivered row, in Next() order, to `sink` as it is produced. Returns
+  /// once the run has ended, with status(), stop_cause() and the counters
+  /// settled. A sink kStop ends the run like LIMIT — unless the caller's
+  /// deadline or cancel has fired by then, which makes it a kDeadline /
+  /// kCancelled stop (a sink that waited out the deadline on a slow
+  /// consumer). local_vocab() is readable from inside the sink. Use either
+  /// Run() or Next() on one cursor, not both; ExecOptions::streaming is
+  /// ignored.
+  void Run(const RowSink& sink);
 
   /// Advances to the next row. Returns false at end-of-stream (check
   /// status() to distinguish completion from an error). In streaming mode

@@ -109,7 +109,8 @@ class CursorVsExecute : public ::testing::Test {
   /// Drains the cursor and the compat Execute over the same solver and
   /// expects identical rows in identical order — then repeats with
   /// streaming (producer-thread) cursors at tight and loose channel
-  /// capacities, which must also match row-for-row.
+  /// capacities and with a push run (Cursor::Run), which must also match
+  /// row-for-row.
   void CheckIdentity(const BgpSolver& solver, const std::string& text) {
     Executor ex(&solver);
     auto materialized = ex.Execute(text);
@@ -125,6 +126,15 @@ class CursorVsExecute : public ::testing::Test {
       EXPECT_EQ(materialized.value().rows, live)
           << text << " (streaming, capacity " << capacity << ")";
     }
+    auto cursor = engine.Open(text);
+    ASSERT_TRUE(cursor.ok()) << cursor.message();
+    std::vector<Row> pushed;
+    cursor.value().Run([&](const Row& r) {
+      pushed.push_back(r);
+      return EmitResult::kContinue;
+    });
+    EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
+    EXPECT_EQ(materialized.value().rows, pushed) << text << " (push)";
   }
 
   rdf::Dataset ds_;
@@ -467,6 +477,35 @@ TEST(QueryEngineFacade, SolverSinkStopIsHonoured) {
     EXPECT_TRUE(st.ok()) << st.message();
     EXPECT_EQ(delivered, 1u);  // three ratings exist; the stop was honoured
   }
+}
+
+// Cursor::Run: a sink kStop ends the run cleanly, like LIMIT, unless the
+// caller's deadline has passed by then — a sink that waited out the
+// deadline on a slow consumer ends the run as a deadline stop.
+TEST(QueryEngineFacade, PushSinkStopIsCleanUnlessDeadlinePassed) {
+  QueryEngine engine(MakeProductData());
+  const std::string q = "SELECT ?x ?r WHERE { ?x <http://e/rating> ?r . }";
+  auto clean = engine.Open(q);
+  ASSERT_TRUE(clean.ok());
+  size_t delivered = 0;
+  clean.value().Run([&](const Row&) {
+    ++delivered;
+    return EmitResult::kStop;
+  });
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_TRUE(clean.value().status().ok());
+  EXPECT_EQ(clean.value().stop_cause(), StopCause::kNone);
+
+  ExecOptions opts;
+  opts.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  auto late = engine.Open(q, opts);
+  ASSERT_TRUE(late.ok());
+  late.value().Run([&](const Row&) {
+    std::this_thread::sleep_until(opts.deadline + std::chrono::milliseconds(1));
+    return EmitResult::kStop;
+  });
+  EXPECT_FALSE(late.value().status().ok());
+  EXPECT_EQ(late.value().stop_cause(), StopCause::kDeadline);
 }
 
 // ---------------------------------------------------------------------------

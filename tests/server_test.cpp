@@ -5,24 +5,30 @@
 //    stop cause);
 //  * chunked writer: a chunk far larger than the socket buffer arrives
 //    intact through partial sendmsg writes;
-//  * protocol: JSON/TSV result encoding matches Executor::Execute row for
-//    row; X-Plan-Cache miss-then-hit with identical rows; malformed queries
-//    get a 400 whose body carries the parse error; per-request deadline maps
-//    to 408 before the first row and an in-body stop marker after it, a row
-//    budget is a 200 with the marker even before the first row, and a
-//    request can tighten the server's deadline but never lift or loosen it;
+//  * protocol: JSON/TSV result encoding matches Executor::Execute byte for
+//    byte, on both sides of the switch from inline rows to the worker's
+//    writer (0, 1, just under and just over the first full chunk, 10k
+//    rows); X-Plan-Cache miss-then-hit with identical rows; malformed
+//    queries get a 400 whose body carries the parse error; per-request
+//    deadline maps to 408 before the first row and an in-body stop marker
+//    after it (inline or spilled), a row budget is a 200 with the marker
+//    before the first row, inline, or spilled, and a request can tighten the
+//    server's deadline but never lift or loosen it; a reader that stops
+//    reading holds its worker no longer than the deadline;
 //  * live store: a cached plan keeps hitting across POST /update and
 //    answers with the updated rows; /stats reports compactions, whether one
 //    is building and how many updates the last one re-homed;
 //  * admission control: a saturated worker pool answers 503 immediately and
 //    recovers once the pool drains;
-//  * teardown: a client that disconnects mid-stream abandons the cursor and
-//    stops the producer (no leaked producer thread — Stop() joins
-//    everything, and the suite runs under ASan/TSan in CI);
+//  * teardown: a client that disconnects mid-stream stops the search
+//    (Stop() joins everything, and the suite runs under ASan/TSan in CI);
+//  * threads: serving a query creates no thread, whether its response
+//    stays inline or spills to the worker's writer;
 //  * scale: 64 concurrent in-flight streaming requests over one shared
 //    engine, every response row-identical to the materialized reference.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -57,6 +63,38 @@ const char* const kProfessorQuery =
     "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
     "SELECT ?x ?y WHERE { ?x a ub:FullProfessor . ?x ub:worksFor ?y . }";
 
+std::string UrlEncode(const std::string& s) {
+  std::string out;
+  char buf[8];
+  for (unsigned char c : s) {
+    if (std::isalnum(c)) {
+      out += static_cast<char>(c);
+    } else {
+      std::snprintf(buf, sizeof buf, "%%%02X", c);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+/// The materialized reference for `query` over `engine`, rendered through
+/// the same encoder — byte for byte what a complete streamed body must
+/// equal.
+std::string Reference(const QueryEngine& engine, const std::string& query,
+                      const std::string& format) {
+  sparql::Executor ex(&engine.solver());
+  auto rs = ex.Execute(query);
+  EXPECT_TRUE(rs.ok()) << rs.message();
+  if (!rs.ok()) return {};
+  auto enc = MakeResultEncoder(format);
+  std::string out = enc->Header(rs.value().var_names);
+  for (const auto& row : rs.value().rows)
+    out += enc->EncodeRow(rs.value().var_names, row, engine.dict(),
+                          rs.value().local_vocab.get());
+  out += enc->Footer(sparql::StopCause::kNone);
+  return out;
+}
+
 /// One shared LUBM(1) engine + server for the protocol tests (building the
 /// engine dominates the suite's runtime, so it is paid once).
 class ServerProtocolTest : public ::testing::Test {
@@ -77,20 +115,6 @@ class ServerProtocolTest : public ::testing::Test {
     engine_ = nullptr;
   }
 
-  static std::string UrlEncode(const std::string& s) {
-    std::string out;
-    char buf[8];
-    for (unsigned char c : s) {
-      if (std::isalnum(c)) {
-        out += static_cast<char>(c);
-      } else {
-        std::snprintf(buf, sizeof buf, "%%%02X", c);
-        out += buf;
-      }
-    }
-    return out;
-  }
-
   static HttpResponse Get(const std::string& target) {
     HttpResponse resp;
     auto st = HttpGet(server_->port(), target, &resp);
@@ -98,19 +122,8 @@ class ServerProtocolTest : public ::testing::Test {
     return resp;
   }
 
-  /// The materialized reference for `query`, rendered through the same
-  /// encoder — byte-for-byte what a complete streamed body must equal.
   static std::string Reference(const std::string& query, const std::string& format) {
-    sparql::Executor ex(&engine_->solver());
-    auto rs = ex.Execute(query);
-    EXPECT_TRUE(rs.ok()) << rs.message();
-    auto enc = MakeResultEncoder(format);
-    std::string out = enc->Header(rs.value().var_names);
-    for (const auto& row : rs.value().rows)
-      out += enc->EncodeRow(rs.value().var_names, row, engine_->dict(),
-                            rs.value().local_vocab.get());
-    out += enc->Footer(sparql::StopCause::kNone);
-    return out;
+    return server::Reference(*engine_, query, format);
   }
 
   static QueryEngine* engine_;
@@ -219,7 +232,7 @@ TEST(HttpChunkedWriter, LargeChunkSurvivesPartialWrites) {
     read_status = ReadHttpResponse(sv[1], &resp, &leftover);
   });
   HttpResponseWriter w(sv[0]);
-  EXPECT_TRUE(w.BeginChunked(200, "text/plain", {}, "X-Done"));
+  w.BeginChunked(200, "text/plain", {}, "X-Done");
   EXPECT_TRUE(w.Chunk(payload));
   EXPECT_TRUE(w.Chunk("tail"));
   EXPECT_TRUE(w.EndChunked({{"X-Done", "yes"}}));
@@ -323,12 +336,14 @@ TEST_F(ServerProtocolTest, StatsEndpointCounts) {
 // Synthetic-solver servers: deterministic control over producer behaviour.
 // ---------------------------------------------------------------------------
 
-/// Emits `total` width-1 rows; optionally blocks at a gate until the test
-/// releases it (honouring control, so abandoned cursors still terminate).
+/// Emits `total` width-2 rows; optionally blocks at a gate, after
+/// `gate_after` rows, until the test releases it (honouring control, so
+/// abandoned cursors and deadlines still terminate).
 class GateSolver final : public sparql::BgpSolver {
  public:
-  GateSolver(const rdf::Dictionary& dict, uint64_t total, bool gated)
-      : dict_(dict), total_(total), gated_(gated) {}
+  GateSolver(const rdf::Dictionary& dict, uint64_t total, bool gated,
+             uint64_t gate_after = 0)
+      : dict_(dict), total_(total), gated_(gated), gate_after_(gate_after) {}
 
   util::Status Evaluate(const std::vector<sparql::TriplePattern>&,
                         const sparql::VarRegistry&, const sparql::Row&,
@@ -356,24 +371,28 @@ class GateSolver final : public sparql::BgpSolver {
   uint64_t finished() const { return finished_.load(std::memory_order_relaxed); }
 
  private:
+  util::Status WaitAtGate(const sparql::EvalControl& control) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++active_;
+    entered_.notify_all();
+    while (gated_ && !released_) {
+      if (auto st = control.Check(); !st.ok()) {
+        --active_;
+        return st;
+      }
+      released_cv_.wait_for(lock, milliseconds(2));
+    }
+    --active_;
+    return util::Status::Ok();
+  }
+
   util::Status Run(const sparql::RowSink& emit,
                    const sparql::EvalControl& control) const {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++active_;
-      entered_.notify_all();
-      while (gated_ && !released_) {
-        if (auto st = control.Check(); !st.ok()) {
-          --active_;
-          return st;
-        }
-        released_cv_.wait_for(lock, milliseconds(2));
-      }
-      --active_;
-    }
     sparql::Row r(2, 0);
     const TermId n = static_cast<TermId>(dict_.size());
     for (uint64_t i = 0; i < total_; ++i) {
+      if (i == gate_after_)
+        if (auto st = WaitAtGate(control); !st.ok()) return st;
       if (auto st = control.Check(); !st.ok()) return st;
       r[0] = static_cast<TermId>(i % n);
       r[1] = static_cast<TermId>((i + 1) % n);
@@ -385,6 +404,7 @@ class GateSolver final : public sparql::BgpSolver {
   const rdf::Dictionary& dict_;
   const uint64_t total_;
   const bool gated_;
+  const uint64_t gate_after_;
   mutable std::mutex mu_;
   mutable std::condition_variable entered_, released_cv_;
   mutable int active_ = 0;
@@ -402,6 +422,35 @@ rdf::Dataset TinyData() {
 }
 
 const char* const kPairQuery = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }";
+
+/// The row count at which a GateSolver response over `dict` spills to the
+/// worker's writer: the first row goes out alone, then rows fill an 8 KB
+/// chunk, and the row that fills it is the last one encoded inline.
+uint64_t SpillRow(const rdf::Dictionary& dict, const std::string& format) {
+  auto enc = MakeResultEncoder(format);
+  const std::vector<std::string> vars{"s", "o"};
+  const TermId n = static_cast<TermId>(dict.size());
+  sparql::Row r(2);
+  std::string chunk;
+  for (uint64_t i = 0;; ++i) {
+    r[0] = static_cast<TermId>(i % n);
+    r[1] = static_cast<TermId>((i + 1) % n);
+    std::string row = enc->EncodeRow(vars, r, dict, nullptr);
+    if (i == 0) continue;  // the first row is a chunk of its own
+    chunk += row;
+    if (chunk.size() >= 8192) return i + 1;
+  }
+}
+
+size_t CountThreads() {
+  size_t n = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (!dir) return 0;
+  while (dirent* e = ::readdir(dir))
+    if (e->d_name[0] != '.') ++n;
+  ::closedir(dir);
+  return n;
+}
 
 TEST(ServerAdmission, SaturatedPoolAnswers503ThenRecovers) {
   rdf::Dataset ds = TinyData();
@@ -458,7 +507,7 @@ TEST(ServerTeardown, MidStreamDisconnectAbandonsCursor) {
   int fd = DialLocal(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(
-      WriteHttpRequest(fd, "GET", "/sparql?format=tsv&capacity=4&query=" +
+      WriteHttpRequest(fd, "GET", "/sparql?format=tsv&query=" +
                                       std::string("SELECT%20?s%20?o%20WHERE%20%7B%20"
                                                   "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D"))
           .ok());
@@ -490,7 +539,7 @@ TEST(ServerScale, SixtyFourConcurrentStreamingRequests) {
   ASSERT_TRUE(server.Start().ok());
 
   const std::string target =
-      "/sparql?format=tsv&capacity=2&query=SELECT%20?s%20?o%20WHERE%20%7B%20"
+      "/sparql?format=tsv&query=SELECT%20?s%20?o%20WHERE%20%7B%20"
       "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D";
   std::vector<int> fds(kClients, -1);
   for (int i = 0; i < kClients; ++i) {
@@ -532,18 +581,84 @@ TEST(ServerScale, SixtyFourConcurrentStreamingRequests) {
 
 TEST(ServerDeadline, DeadlineBeforeFirstRowIs408MidStreamIsMarker) {
   rdf::Dataset ds = TinyData();
-  GateSolver gated(ds.dict(), 8, /*gated=*/true);  // never released: deadline wins
-  QueryEngine engine(&gated);
-  SparqlServer server(&engine, ServerConfig{});
+  // The gate is never released, so the deadline wins: before the first row,
+  // and after 2000 rows — past the switch to the worker's writer.
+  for (uint64_t gate_after : {0, 2000}) {
+    GateSolver gated(ds.dict(), 5000, /*gated=*/true, gate_after);
+    QueryEngine engine(&gated);
+    SparqlServer server(&engine, ServerConfig{});
+    ASSERT_TRUE(server.Start().ok());
+    HttpResponse resp;
+    ASSERT_TRUE(HttpGet(server.port(),
+                        "/sparql?format=tsv&timeout-ms=50&query=SELECT%20?s%20?o%20WHERE"
+                        "%20%7B%20?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
+                        &resp)
+                    .ok());
+    if (gate_after == 0) {
+      EXPECT_EQ(resp.status, 408);
+      EXPECT_NE(resp.body.find("deadline"), std::string::npos) << resp.body;
+      continue;
+    }
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_EQ(std::count(resp.body.begin(), resp.body.end(), '\n'), 2002)
+        << "header, the 2000 rows before the gate, marker";
+    EXPECT_TRUE(resp.body.ends_with("\n# stopped: deadline\n"));
+    EXPECT_EQ(resp.headers["x-stop-cause"], "deadline");
+    EXPECT_EQ(server.stats().responses_spilled, 1u);
+    server.Stop();
+  }
+}
+
+TEST(ServerDeadline, StalledReaderHoldsWorkerNoLongerThanDeadline) {
+  // Rows of ~8 KB fill the socket buffers long before the deadline, even in
+  // a sanitizer build.
+  rdf::Dataset ds;
+  for (int i = 0; i < 8; ++i)
+    ds.Add(rdf::Term::Iri("http://x/s" + std::to_string(i) + std::string(4000, 's')),
+           rdf::Term::Iri("http://x/p"),
+           rdf::Term::Iri("http://x/o" + std::to_string(i) + std::string(4000, 'o')));
+  GateSolver solver(ds.dict(), 50'000'000, /*gated=*/false);
+  QueryEngine engine(&solver);
+  ServerConfig config;
+  config.workers = 1;  // the stalled request holds the only worker
+  SparqlServer server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
-  HttpResponse resp;
-  ASSERT_TRUE(HttpGet(server.port(),
-                      "/sparql?timeout-ms=50&query=SELECT%20?s%20?o%20WHERE%20%7B%20"
-                      "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
-                      &resp)
+
+  // A client that asks for a large result and never reads it.
+  int stalled = DialLocal(server.port());
+  ASSERT_GE(stalled, 0);
+  const steady_clock::time_point start = steady_clock::now();
+  ASSERT_TRUE(WriteHttpRequest(stalled, "GET",
+                               "/sparql?format=tsv&timeout-ms=200&query=" +
+                                   UrlEncode(kPairQuery),
+                               {{"Connection", "close"}})
                   .ok());
-  EXPECT_EQ(resp.status, 408);
-  EXPECT_NE(resp.body.find("deadline"), std::string::npos) << resp.body;
+
+  // Without a bounded write, the worker would wait on the stalled socket
+  // forever; the watchdog then closes it (unread data makes that a reset,
+  // which fails the server's write) so the test fails instead of hanging.
+  std::atomic<bool> served{false};
+  std::atomic<bool> reset{false};
+  std::thread watchdog([&] {
+    const steady_clock::time_point until = steady_clock::now() + std::chrono::seconds(5);
+    while (!served.load() && steady_clock::now() < until)
+      std::this_thread::sleep_for(milliseconds(5));
+    if (!served.load()) {
+      reset.store(true);
+      ::close(stalled);
+    }
+  });
+  HttpResponse second;
+  EXPECT_TRUE(HttpGet(server.port(), "/sparql?format=tsv&query=" +
+                                         UrlEncode(std::string(kPairQuery) + " LIMIT 1"),
+                      &second)
+                  .ok());
+  const auto waited = steady_clock::now() - start;
+  served.store(true);
+  watchdog.join();
+  EXPECT_EQ(second.status, 200);
+  EXPECT_LT(waited, milliseconds(1200));
+  if (!reset.load()) ::close(stalled);
   server.Stop();
 }
 
@@ -577,6 +692,73 @@ TEST(ServerDeadline, RequestCannotLiftOrLoosenServerDeadline) {
   done.store(true);
   watchdog.join();
   server.Stop();
+}
+
+TEST(ServerSpill, BodiesMatchReferenceOnBothSidesOfTheSwitch) {
+  rdf::Dataset ds = TinyData();
+  constexpr uint64_t kRows = 10'000;
+  GateSolver solver(ds.dict(), kRows, /*gated=*/false);
+  QueryEngine engine(&solver);
+  SparqlServer server(&engine, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  for (const std::string format : {"tsv", "json"}) {
+    const uint64_t at = SpillRow(ds.dict(), format);
+    ASSERT_LT(at + 1, kRows);
+    for (uint64_t rows : {uint64_t{0}, uint64_t{1}, at - 1, at + 1, kRows}) {
+      std::string query = kPairQuery;
+      if (rows < kRows) query += " LIMIT " + std::to_string(rows);
+      const uint64_t spilled = server.stats().responses_spilled;
+      HttpResponse resp;
+      ASSERT_TRUE(HttpGet(server.port(),
+                          "/sparql?format=" + format + "&query=" + UrlEncode(query), &resp)
+                      .ok());
+      EXPECT_EQ(resp.status, 200);
+      EXPECT_EQ(resp.headers["x-stop-cause"], "none");
+      EXPECT_TRUE(resp.body == Reference(engine, query, format))
+          << format << ", " << rows << " rows: body differs from the reference";
+      EXPECT_EQ(server.stats().responses_spilled - spilled, rows > at ? 1u : 0u)
+          << format << ", " << rows << " rows (switch at row " << at << ")";
+    }
+  }
+  server.Stop();
+}
+
+TEST(ServerThreads, NoThreadPerQuery) {
+  rdf::Dataset ds = TinyData();
+  struct Case {
+    uint64_t rows, gate_after;
+    bool spills;
+  };
+  // A 1-row response held before its row, and a response held after 2000
+  // rows, past the switch to the worker's writer.
+  for (Case c : {Case{1, 0, false}, Case{5000, 2000, true}}) {
+    GateSolver solver(ds.dict(), c.rows, /*gated=*/true, c.gate_after);
+    QueryEngine engine(&solver);
+    ServerConfig config;
+    config.workers = 2;
+    SparqlServer server(&engine, config);
+    ASSERT_TRUE(server.Start().ok());
+    const size_t idle = CountThreads();
+    ASSERT_GT(idle, 0u);
+
+    int fd = DialLocal(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(WriteHttpRequest(fd, "GET",
+                                 "/sparql?format=tsv&query=" + UrlEncode(kPairQuery))
+                    .ok());
+    solver.WaitForActive(1);  // the query is in flight, held at the gate
+    EXPECT_EQ(CountThreads(), idle) << c.rows << "-row response";
+    solver.Release();
+
+    HttpResponse resp;
+    std::string leftover;
+    ASSERT_TRUE(ReadHttpResponse(fd, &resp, &leftover).ok());
+    ::close(fd);
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_EQ(std::count(resp.body.begin(), resp.body.end(), '\n'), c.rows + 1);
+    EXPECT_EQ(server.stats().responses_spilled, c.spills ? 1u : 0u);
+    server.Stop();
+  }
 }
 
 TEST(ServerLiveStore, CachedPlanHitsAcrossUpdateWithUpdatedRows) {
@@ -647,15 +829,22 @@ TEST(ServerLimits, RowBudgetStopCarriesInBodyMarkerAndTrailer) {
   QueryEngine engine(&solver);
   SparqlServer server(&engine, ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
-  HttpResponse resp;
-  ASSERT_TRUE(HttpGet(server.port(),
-                      "/sparql?format=tsv&budget=100&query=SELECT%20?s%20?o%20WHERE%20"
-                      "%7B%20?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
-                      &resp)
-                  .ok());
-  EXPECT_EQ(resp.status, 200);  // the stream had already begun
-  EXPECT_NE(resp.body.find("# stopped: row budget"), std::string::npos) << resp.body;
-  EXPECT_EQ(resp.headers["x-stop-cause"], "row budget");  // chunked trailer
+  // 100 rows stay inline; 5000 fill the first full chunk and spill.
+  for (uint64_t budget : {100, 5000}) {
+    HttpResponse resp;
+    ASSERT_TRUE(HttpGet(server.port(),
+                        "/sparql?format=tsv&budget=" + std::to_string(budget) +
+                            "&query=SELECT%20?s%20?o%20WHERE%20"
+                            "%7B%20?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
+                        &resp)
+                    .ok());
+    EXPECT_EQ(resp.status, 200);  // the stream had already begun
+    EXPECT_EQ(std::count(resp.body.begin(), resp.body.end(), '\n'), budget + 2)
+        << "header, every row within the budget, marker";
+    EXPECT_TRUE(resp.body.ends_with("\n# stopped: row budget\n")) << budget;
+    EXPECT_EQ(resp.headers["x-stop-cause"], "row budget");  // chunked trailer
+  }
+  EXPECT_EQ(server.stats().responses_spilled, 1u);
   server.Stop();
 }
 
