@@ -516,9 +516,9 @@ TEST(ServerTeardown, MidStreamDisconnectAbandonsCursor) {
   ASSERT_TRUE(WaitForResponseByte(fd, &leftover));
   ::close(fd);
 
-  // The next chunk write fails, the worker abandons the cursor, and cursor
-  // teardown propagates kStop / abandon into the solver enumeration — the
-  // producer's Evaluate must return long before its 50M rows are done.
+  // The next chunk write fails (on the worker or its writer), the sink
+  // returns kStop, and the stop unwinds into the solver enumeration — its
+  // Evaluate must return long before its 50M rows are done.
   steady_clock::time_point deadline = steady_clock::now() + std::chrono::seconds(30);
   while (solver.finished() == 0 && steady_clock::now() < deadline)
     std::this_thread::sleep_for(milliseconds(5));
