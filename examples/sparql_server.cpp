@@ -8,7 +8,8 @@
 // Data loading mirrors sparql_shell (--nt / --ttl / --snap / --lubm, with
 // --engine / --threads / --no-inference); serving knobs are --port (0 picks
 // a free port, printed on stderr), --workers, --queue-depth,
-// --default-timeout-ms, --max-row-budget, --plan-cache. The engine is
+// --default-timeout-ms, --max-row-budget, --plan-cache, --read-timeout-ms
+// (idle keep-alive connections are closed after it; 0 = never). The engine is
 // wrapped in a LiveStore, so POST /update (INSERT DATA / DELETE DATA) works
 // out of the box and query responses carry X-Epoch; --compact-threshold N
 // enables background compaction once the delta reaches N entries. Runs
@@ -70,6 +71,8 @@ int main(int argc, char** argv) {
       server_config.default_timeout_ms = std::strtoull(next(), nullptr, 10);
     else if (arg == "--max-row-budget")
       server_config.max_row_budget = std::strtoull(next(), nullptr, 10);
+    else if (arg == "--read-timeout-ms")
+      server_config.read_timeout_ms = std::strtoull(next(), nullptr, 10);
     else if (arg == "--compact-threshold")
       compact_threshold = std::strtoull(next(), nullptr, 10);
     else return Fail("unknown argument '" + arg + "'");

@@ -111,7 +111,7 @@ void Dictionary::SetHotBand(size_t band) {
 }
 
 void Dictionary::Permute(std::span<const uint32_t> order, size_t hot_band) {
-  const size_t n = terms_.size();
+  const size_t n = order.size();
   std::vector<Term> terms(n);
   std::vector<CachedNum> numeric(n);
   for (size_t r = 0; r < n; ++r) {

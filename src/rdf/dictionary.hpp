@@ -401,9 +401,10 @@ class Dictionary {
   /// order already encodes the ranking) and rebuilds the hot-term cache.
   void SetHotBand(size_t band);
   /// Re-ranks the whole dictionary in place: `order[rank] = old id`. Every
-  /// existing id moves to its rank; the caller owns rewriting stored triples
-  /// through the inverse mapping. Used by Permute-style dataset reranks and
-  /// LiveStore compaction.
+  /// id in `order` moves to its rank and every id missing from it is
+  /// dropped; the caller owns rewriting stored triples through the inverse
+  /// mapping. Used by Permute-style dataset reranks and LiveStore
+  /// compaction.
   void Permute(std::span<const uint32_t> order, size_t hot_band);
 
   /// Layout introspection for /stats, the shell banner, and tests.

@@ -461,7 +461,7 @@ util::Result<LoadResult> LoadRdfFile(const std::string& path, const LoadOptions&
   return LoadNTriplesFile(path, options);
 }
 
-void RerankDatasetByFrequency(Dataset* ds) {
+void RerankDatasetByFrequency(Dataset* ds, bool drop_unreferenced) {
   Dictionary& dict = ds->dict();
   const size_t n = dict.size();
   if (n == 0) return;
@@ -475,11 +475,14 @@ void RerankDatasetByFrequency(Dataset* ds) {
     items[t.p].flags |= kRolePredicate;
     if (type_id && t.p == *type_id) items[t.o].flags |= kRoleTypeObject;
   }
+  if (drop_unreferenced)
+    std::erase_if(items, [](const RankInput& it) { return it.count == 0; });
   size_t band = 0;
-  const std::vector<uint32_t> order = FrequencySplitOrder(items, &band);
+  std::vector<uint32_t> order = FrequencySplitOrder(items, &band);
+  for (uint32_t& o : order) o = static_cast<uint32_t>(items[o].first);  // rank -> old id
   dict.Permute(order, band);
-  std::vector<TermId> new_id(n);
-  for (size_t r = 0; r < n; ++r) new_id[order[r]] = static_cast<TermId>(r);
+  std::vector<TermId> new_id(n, kInvalidId);
+  for (size_t r = 0; r < order.size(); ++r) new_id[order[r]] = static_cast<TermId>(r);
   for (Triple& t : ds->mutable_triples()) {
     t.s = new_id[t.s];
     t.p = new_id[t.p];

@@ -115,6 +115,9 @@ util::Result<LoadResult> LoadRdfFile(const std::string& path,
 /// flags come from the dataset's own triples; every triple is rewritten
 /// through the new id mapping in place. Call before handing ids to anything
 /// that stores them (graph build, snapshots, cached TermIds).
-void RerankDatasetByFrequency(Dataset* ds);
+/// `drop_unreferenced` also removes the terms no triple uses (LiveStore
+/// compaction, where deletes leave such terms behind); bulk loads and the
+/// generators keep every term, so their ids never depend on it.
+void RerankDatasetByFrequency(Dataset* ds, bool drop_unreferenced = false);
 
 }  // namespace turbo::rdf

@@ -1,8 +1,9 @@
 #include "rdf/term.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
+
+#include "util/escape_scan.hpp"
 
 namespace turbo::rdf {
 
@@ -51,31 +52,38 @@ std::optional<uint32_t> ParseHex(std::string_view s, size_t i, size_t n) {
 
 }  // namespace
 
-std::string EscapeNTriples(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+void AppendEscapedNTriples(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  size_t clean = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = util::FindEscapeByte(s, 0); i < s.size();
+       i = util::FindEscapeByte(s, clean)) {
+    out->append(s.data() + clean, i - clean);
+    clean = i + 1;
+    const unsigned char c = static_cast<unsigned char>(s[i]);
     switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
+      case '\\': *out += "\\\\"; break;
+      case '"': *out += "\\\""; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      default: {
         // Remaining C0 controls have no ECHAR; the spec's way to write them
         // is a \uXXXX numeric escape. Bytes >= 0x20 (including multi-byte
         // UTF-8 sequences) pass through untouched.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04X", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(esc, sizeof esc);
+      }
     }
   }
+  out->append(s.data() + clean, s.size() - clean);
+}
+
+std::string EscapeNTriples(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendEscapedNTriples(s, &out);
   return out;
 }
 
@@ -127,23 +135,38 @@ std::string UnescapeNTriples(std::string_view s) {
   return out;
 }
 
-std::string Term::ToNTriples() const {
+void Term::AppendNTriples(std::string* out) const {
   switch (kind) {
     case TermKind::kIri:
-      return "<" + lexical + ">";
+      *out += '<';
+      *out += lexical;
+      *out += '>';
+      return;
     case TermKind::kBlank:
-      return "_:" + lexical;
-    case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeNTriples(lexical) + "\"";
+      *out += "_:";
+      *out += lexical;
+      return;
+    case TermKind::kLiteral:
+      *out += '"';
+      AppendEscapedNTriples(lexical, out);
+      *out += '"';
       if (!lang.empty()) {
-        out += "@" + lang;
+        *out += '@';
+        *out += lang;
       } else if (!datatype.empty()) {
-        out += "^^<" + datatype + ">";
+        *out += "^^<";
+        *out += datatype;
+        *out += '>';
       }
-      return out;
-    }
+      return;
   }
-  return {};
+}
+
+std::string Term::ToNTriples() const {
+  std::string out;
+  out.reserve(lexical.size() + datatype.size() + lang.size() + 8);
+  AppendNTriples(&out);
+  return out;
 }
 
 std::optional<double> Term::NumericValue() const {

@@ -39,6 +39,8 @@ struct Term {
 
   /// Canonical N-Triples serialization; also the dictionary key.
   std::string ToNTriples() const;
+  /// Appends ToNTriples() to `*out` without building a string of its own.
+  void AppendNTriples(std::string* out) const;
 
   /// Numeric value if this is a literal with a numeric-looking lexical form
   /// (integer, decimal, double — datatype is not required, matching the
@@ -48,6 +50,9 @@ struct Term {
 
 /// Escapes a string per N-Triples literal rules.
 std::string EscapeNTriples(std::string_view s);
+/// Appends EscapeNTriples(s) to `*out`; runs of bytes that need no escape
+/// are appended in one copy each.
+void AppendEscapedNTriples(std::string_view s, std::string* out);
 /// Reverses EscapeNTriples.
 std::string UnescapeNTriples(std::string_view s);
 

@@ -26,6 +26,14 @@ std::string ToLower(std::string s) {
   return s;
 }
 
+/// The status for a failed recv (errno set, not EINTR). A socket with
+/// SO_RCVTIMEO fails with EAGAIN once the timeout passes with no data.
+util::Status RecvError() {
+  if (errno == EAGAIN || errno == EWOULDBLOCK)
+    return util::Status::Error("read timed out");
+  return util::Status::Error(std::string("recv: ") + std::strerror(errno));
+}
+
 /// Appends socket data to `buf` until `delim` appears or `max` bytes are
 /// buffered. Returns Ok with the delimiter position in *pos; "connection
 /// closed" if the peer hung up with an empty buffer (clean keep-alive end).
@@ -45,7 +53,7 @@ util::Status ReadUntil(int fd, const std::string& delim, size_t max, std::string
                                               : "truncated input");
     if (n < 0) {
       if (errno == EINTR) continue;
-      return util::Status::Error(std::string("recv: ") + std::strerror(errno));
+      return RecvError();
     }
     buf->append(chunk, static_cast<size_t>(n));
   }
@@ -60,7 +68,7 @@ util::Status ReadExact(int fd, size_t need, size_t max, std::string* buf) {
     if (n == 0) return util::Status::Error("truncated input");
     if (n < 0) {
       if (errno == EINTR) continue;
-      return util::Status::Error(std::string("recv: ") + std::strerror(errno));
+      return RecvError();
     }
     buf->append(chunk, static_cast<size_t>(n));
   }

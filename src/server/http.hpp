@@ -45,7 +45,8 @@ void ParseFormParams(const std::string& s, std::map<std::string, std::string>* o
 /// the previous request on a keep-alive connection; pass the same string for
 /// every request on one connection. Returns an error on malformed input,
 /// oversized input, or a closed/broken socket (message "connection closed"
-/// when the peer hung up cleanly between requests).
+/// when the peer hung up cleanly between requests, "read timed out" when a
+/// socket with SO_RCVTIMEO waited past it).
 util::Status ReadHttpRequest(int fd, HttpRequest* req, std::string* leftover);
 
 /// Response writer over one socket. Either use WriteSimple (fixed-length,

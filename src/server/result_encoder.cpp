@@ -3,6 +3,7 @@
 #include <array>
 
 #include "rdf/term.hpp"
+#include "util/escape_scan.hpp"
 
 namespace turbo::server {
 namespace {
@@ -27,7 +28,7 @@ class JsonEncoder final : public ResultEncoder {
     return out;
   }
 
-  void AppendRow(const std::vector<std::string>& vars, const sparql::Row& row,
+  void AppendRow(const std::vector<std::string>& vars, std::span<const TermId> row,
                  const rdf::Dictionary& dict, const sparql::LocalVocab* local,
                  std::string* out) override {
     if (prefixes_.size() != vars.size()) BuildPrefixes(vars);
@@ -108,14 +109,14 @@ class TsvEncoder final : public ResultEncoder {
     return out;
   }
 
-  void AppendRow(const std::vector<std::string>& vars, const sparql::Row& row,
+  void AppendRow(const std::vector<std::string>& vars, std::span<const TermId> row,
                  const rdf::Dictionary& dict, const sparql::LocalVocab* local,
                  std::string* out) override {
     for (size_t i = 0; i < vars.size() && i < row.size(); ++i) {
       if (i) *out += '\t';
       if (row[i] == kInvalidId) continue;  // unbound: empty field
       const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]);
-      if (t) *out += t->ToNTriples();
+      if (t) t->AppendNTriples(out);
     }
     *out += '\n';
   }
@@ -131,11 +132,11 @@ class TsvEncoder final : public ResultEncoder {
 void AppendJsonEscaped(std::string_view s, std::string* out) {
   static constexpr char kHex[] = "0123456789abcdef";
   size_t clean = 0;  // start of the pending run of bytes that need no escape
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
+  for (size_t i = util::FindEscapeByte(s, 0); i < s.size();
+       i = util::FindEscapeByte(s, clean)) {
     out->append(s.data() + clean, i - clean);
     clean = i + 1;
+    const unsigned char c = static_cast<unsigned char>(s[i]);
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;

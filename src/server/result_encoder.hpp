@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,10 +30,11 @@ class ResultEncoder {
 
   virtual const char* content_type() const = 0;
   virtual std::string Header(const std::vector<std::string>& vars) = 0;
-  /// Appends one row's fragment, separator included, to `*out`.
-  virtual void AppendRow(const std::vector<std::string>& vars, const sparql::Row& row,
-                         const rdf::Dictionary& dict, const sparql::LocalVocab* local,
-                         std::string* out) = 0;
+  /// Appends one row's fragment, separator included, to `*out`. `row` may
+  /// be a Row or one row of a RowBatch's flat cells.
+  virtual void AppendRow(const std::vector<std::string>& vars,
+                         std::span<const TermId> row, const rdf::Dictionary& dict,
+                         const sparql::LocalVocab* local, std::string* out) = 0;
   /// `cause` is kNone for a clean end of stream.
   virtual std::string Footer(sparql::StopCause cause) = 0;
 
@@ -55,7 +57,7 @@ class ResultEncoder {
 std::unique_ptr<ResultEncoder> MakeResultEncoder(const std::string& format);
 
 /// Appends `s` escaped for a JSON string literal (no surrounding quotes).
-/// Runs of bytes that need no escape are appended in one call each.
+/// Runs of bytes that need no escape are appended in one copy each.
 void AppendJsonEscaped(std::string_view s, std::string* out);
 
 }  // namespace turbo::server

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -90,6 +91,9 @@ class ConnQueue {
 /// first chunk that carries the first row alone. A response that fills one
 /// such chunk spills: the rest of its rows go to the worker's SpillWriter.
 constexpr size_t kChunkBytes = 8192;
+/// The writer's chunk size. A response that spilled is a large one, so its
+/// chunks grow to cut the sendmsg calls per response eightfold.
+constexpr size_t kSpillChunkBytes = 64 * 1024;
 /// Geometry of the channel from a worker to its writer: rows per batch,
 /// and batches in flight before the worker's pipeline blocks.
 constexpr size_t kSpillBatchRows = 16;
@@ -112,7 +116,9 @@ struct ResponseBody {
   std::string buf;  ///< encoded bytes not yet sent
   bool broken = false;  ///< the writer gave up on the response
 
-  void Append(const sparql::Row& row) { enc->AppendRow(*vars, row, *dict, vocab, &buf); }
+  void Append(std::span<const TermId> row) {
+    enc->AppendRow(*vars, row, *dict, vocab, &buf);
+  }
   /// Sends `buf` as one chunk and empties it.
   bool Send() {
     bool ok = w->Chunk(buf);
@@ -139,9 +145,9 @@ class SpillWriter {
   SpillWriter& operator=(const SpillWriter&) = delete;
 
   /// Starts draining `rows` into `body`: rows are encoded into body->buf,
-  /// which goes out as a chunk whenever it holds kChunkBytes. A failed write
-  /// closes `rows` from the consumer side, so the worker's next push fails
-  /// and its sink stops the search. The caller closes `rows` with
+  /// which goes out as a chunk whenever it holds kSpillChunkBytes. A failed
+  /// write closes `rows` from the consumer side, so the worker's next push
+  /// fails and its sink stops the search. The caller closes `rows` with
   /// CloseProducer and then calls Wait before it touches `body` again.
   void Begin(ResponseBody* body, RowChannel* rows) {
     {
@@ -181,14 +187,11 @@ class SpillWriter {
   }
 
   static void Drain(ResponseBody* body, RowChannel* rows) {
+    body->buf.reserve(kSpillChunkBytes + kSpillChunkBytes / 4);  // a chunk and a batch
     sparql::RowBatch batch;
-    sparql::Row row;
     while (rows->Pop(&batch) == RowChannel::Op::kOk) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch.CopyRow(i, &row);
-        body->Append(row);
-      }
-      if (body->buf.size() >= kChunkBytes && !body->Send()) {
+      for (size_t i = 0; i < batch.size(); ++i) body->Append(batch.row(i));
+      if (body->buf.size() >= kSpillChunkBytes && !body->Send()) {
         body->broken = true;
         rows->CloseConsumer();
         return;
@@ -257,6 +260,15 @@ struct SparqlServer::Impl {
       // ACK turns every response tail into a ~40ms stall.
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      // An idle keep-alive client must not hold a worker forever: a read
+      // that waits longer than this fails, and the worker closes the
+      // connection.
+      if (config.read_timeout_ms > 0) {
+        timeval tv{};
+        tv.tv_sec = static_cast<time_t>(config.read_timeout_ms / 1000);
+        tv.tv_usec = static_cast<suseconds_t>(config.read_timeout_ms % 1000 * 1000);
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+      }
       if (stopping.load() || !queue.TryPush(fd)) {
         // Admission control: never let connections queue unbounded — tell
         // the client to back off now, while the answer is still cheap.
@@ -292,7 +304,9 @@ struct SparqlServer::Impl {
       HttpRequest req;
       util::Status st = ReadHttpRequest(fd, &req, &leftover);
       if (!st.ok()) {
-        if (st.message() != "connection closed") {
+        // A peer that hung up or went idle past the read timeout is not a
+        // bad request: close without an answer.
+        if (st.message() != "connection closed" && st.message() != "read timed out") {
           bad_requests.fetch_add(1, std::memory_order_relaxed);
           HttpResponseWriter(fd).WriteSimple(400, "text/plain", st.message() + "\n", {},
                                              false);
@@ -469,9 +483,10 @@ struct SparqlServer::Impl {
     // early failure still gets a real status code. The first row goes out
     // alone — time to first byte tracks the search — then ~8KB chunks.
     // Once a response has filled a full chunk it spills: later rows travel
-    // in batches to this worker's writer, which encodes and sends them
-    // while the search goes on. A failed or timed-out write stops the
-    // search (the sink returns kStop; past the deadline that is kDeadline).
+    // in batches to this worker's writer, which encodes them straight from
+    // the batch and sends ~64KB chunks while the search goes on. A failed
+    // or timed-out write stops the search (the sink returns kStop; past the
+    // deadline that is kDeadline).
     sparql::EvalControl control;
     control.cancel = opts.cancel_token;
     control.deadline = opts.deadline;
@@ -542,7 +557,6 @@ struct SparqlServer::Impl {
   }
 
   bool HandleUpdate(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive) {
-    requests.fetch_add(1, std::memory_order_relaxed);
     if (!store) {
       bad_requests.fetch_add(1, std::memory_order_relaxed);
       return w->WriteSimple(403, "text/plain", "read-only endpoint (no live store)\n",

@@ -12,7 +12,7 @@
 //                                 as form-urlencoded `update=` or a raw
 //                                 application/sparql-update body; requires
 //                                 the live-store constructor (403 otherwise)
-//   GET  /stats                 — JSON counters (requests, overload 503s,
+//   GET  /stats                 — JSON counters (queries, overload 503s,
 //                                 spilled responses, plan-cache
 //                                 hits/misses/size, in-flight gauge; live
 //                                 stores add epoch / delta / compaction
@@ -41,8 +41,9 @@
 // row alone, so time-to-first-byte tracks the search's first row — not query
 // completion. A response that fills its first full 8 KB chunk spills: its
 // later rows travel in batches over a bounded channel to the worker's own
-// writer thread, which encodes and sends them while the search goes on; the
-// worker sends the footer and trailer once the writer has drained.
+// writer thread, which encodes them straight from each batch and sends
+// ~64 KB chunks while the search goes on; the worker sends the footer and
+// trailer once the writer has drained.
 //
 // Status mapping: the status line waits for the first row or the end of
 // the run, so early failures get real codes — 400 parse error (parser
@@ -55,9 +56,10 @@
 // Threading: an acceptor thread hands accepted connections to a bounded
 // pool of workers, each with one writer thread, all started in Start and
 // joined in Stop; each connection is owned by one worker for its keep-alive
-// lifetime (thread-per-connection with a bounded pool). When the pool and
-// the wait queue are both full, the acceptor answers 503 immediately rather
-// than letting connections queue unbounded. A client that disconnects
+// lifetime (thread-per-connection with a bounded pool), or until it sends
+// nothing for ServerConfig::read_timeout_ms. When the pool and the wait
+// queue are both full, the acceptor answers 503 immediately rather than
+// letting connections queue unbounded. A client that disconnects
 // mid-stream fails the next chunk write, inline or on the writer; the sink
 // then stops the search and the worker closes the connection.
 #pragma once
@@ -84,10 +86,13 @@ struct ServerConfig {
   /// Server-wide defaults, applied when a request names no tighter value.
   uint64_t default_timeout_ms = 0;  ///< deadline cap; 0 = none
   uint64_t max_row_budget = sparql::kNoBudget;
+  /// Longest wait for request bytes (SO_RCVTIMEO on each accepted
+  /// connection); a connection idle that long is closed. 0 = none.
+  uint64_t read_timeout_ms = 30000;
 };
 
 struct ServerStats {
-  uint64_t requests = 0;           ///< /sparql requests fully dispatched
+  uint64_t requests = 0;           ///< /sparql requests fully dispatched (not /update)
   uint64_t rejected_overload = 0;  ///< fast 503s from admission control
   uint64_t bad_requests = 0;       ///< 400s (malformed HTTP or query)
   /// /sparql responses that outgrew their first full chunk and handed the

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,6 +50,10 @@ class RowBatch {
     if (n_ == 0) width_ = row.size();
     cells_.insert(cells_.end(), row.begin(), row.end());
     ++n_;
+  }
+  /// Row `i` in place: a view of the batch's flat cells.
+  std::span<const TermId> row(size_t i) const {
+    return std::span<const TermId>(cells_).subspan(i * width_, width_);
   }
   /// Overwrites `*out` with row `i` (no allocation once `*out` has room).
   void CopyRow(size_t i, Row* out) const {

@@ -360,8 +360,10 @@ util::Result<std::shared_ptr<const sparql::QueryEngine>> LiveStore::BuildCompact
   // readers stay byte-stable — they hold the previous snapshot and its
   // engine, whose ids never move; only the *next* epoch sees the new ids,
   // and its engine and overlay limit are rebuilt by Compact. Prepared plans
-  // hold no ids, so they carry over unchanged.
-  rdf::RerankDatasetByFrequency(&merged);
+  // hold no ids, so they carry over unchanged. Terms that no surviving
+  // triple uses (every triple naming them was deleted) are dropped here, so
+  // a store under steady insert/delete churn keeps a bounded dictionary.
+  rdf::RerankDatasetByFrequency(&merged, /*drop_unreferenced=*/true);
 
   return std::make_shared<const sparql::QueryEngine>(std::move(merged), cfg_.engine);
 }

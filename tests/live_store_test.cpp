@@ -314,6 +314,40 @@ TEST(LiveStoreSemantics, SetSemanticsAndUnknownTermDeletes) {
   EXPECT_EQ(stats.epoch, 4u);
 }
 
+// Insert/delete churn with a compaction per cycle: each cycle inserts four
+// fresh literals and deletes the batch two cycles back, so only two batches
+// are ever live. Compaction drops the terms of deleted batches, so the
+// dictionary stops growing once the churn reaches its steady state.
+TEST(LiveStoreSemantics, CompactionDropsTermsNoTripleUses) {
+  LiveStore store(PeopleData(), LiveStore::Config{});
+  const size_t base_terms = store.snapshot()->dict().size();
+  auto batch = [](int cycle) {
+    std::string triples;
+    for (int k = 0; k < 4; ++k)
+      triples += "<http://x/alice> <http://x/note> \"n" + std::to_string(cycle) + "_" +
+                 std::to_string(k) + "\" . ";
+    return "{ " + triples + "}";
+  };
+  std::vector<size_t> sizes;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    ASSERT_TRUE(store.Update("INSERT DATA " + batch(cycle)).ok());
+    if (cycle >= 2) {
+      auto deleted = store.Update("DELETE DATA " + batch(cycle - 2));
+      ASSERT_TRUE(deleted.ok());
+      EXPECT_EQ(deleted.value().deleted, 4u);
+    }
+    ASSERT_TRUE(store.Compact().ok());
+    sizes.push_back(store.snapshot()->dict().size());
+  }
+  // The base terms, the new predicate and two live batches of literals.
+  EXPECT_EQ(sizes[2], base_terms + 1 + 8);
+  EXPECT_EQ(sizes.back(), sizes[2]) << "the dictionary grew with the cycle count";
+  const std::vector<std::string> notes =
+      RunSorted(store, "SELECT ?n WHERE { <http://x/alice> <http://x/note> ?n . }");
+  EXPECT_EQ(notes.size(), 8u);
+  EXPECT_EQ(RunSorted(store, "SELECT ?p WHERE { ?p a <http://x/Person> . }").size(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // VALUES / BIND (the new streaming operators, over a plain engine)
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-// Unit tests for the RDF substrate: terms, dictionary, N-Triples, reasoner.
+// Unit tests for the RDF substrate: terms, escaping, dictionary, N-Triples,
+// reasoner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "rdf/dataset.hpp"
 #include "rdf/dictionary.hpp"
@@ -9,6 +13,8 @@
 #include "rdf/reasoner.hpp"
 #include "rdf/term.hpp"
 #include "rdf/vocabulary.hpp"
+#include "server/result_encoder.hpp"
+#include "util/escape_scan.hpp"
 
 namespace turbo::rdf {
 namespace {
@@ -98,6 +104,88 @@ TEST(NTriples, UcharEscapesUnifyWithRawUtf8Spelling) {
   ASSERT_TRUE(st.ok()) << st.message();
   EXPECT_EQ(ds.triples()[0].o, ds.triples()[1].o);
   EXPECT_EQ(ds.dict().term(ds.triples()[0].o).lexical, "caf\xC3\xA9");
+}
+
+// ---------------------------------------------------------------------------
+// Escaping: the word-at-a-time scan against byte-at-a-time references
+// ---------------------------------------------------------------------------
+
+std::string ReferenceJsonEscape(std::string_view s) {
+  std::string out;
+  char buf[8];
+  for (unsigned char c : s) {
+    if (c == '"') out += "\\\"";
+    else if (c == '\\') out += "\\\\";
+    else if (c == '\n') out += "\\n";
+    else if (c == '\r') out += "\\r";
+    else if (c == '\t') out += "\\t";
+    else if (c >= 0x20) out += static_cast<char>(c);
+    else {
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+std::string ReferenceNTriplesEscape(std::string_view s) {
+  std::string out;
+  char buf[8];
+  for (unsigned char c : s) {
+    if (c == '"') out += "\\\"";
+    else if (c == '\\') out += "\\\\";
+    else if (c == '\n') out += "\\n";
+    else if (c == '\r') out += "\\r";
+    else if (c == '\t') out += "\\t";
+    else if (c == '\b') out += "\\b";
+    else if (c == '\f') out += "\\f";
+    else if (c >= 0x20) out += static_cast<char>(c);
+    else {
+      std::snprintf(buf, sizeof buf, "\\u%04X", c);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+// Every byte value at every offset of strings of 1..24 bytes, over fillers
+// of clean bytes next to the escape set's edges (0x20, 0x21, '[', ']',
+// 0x7F, 0x80, 0xFF), alone and with a second escape at the end: the JSON
+// and N-Triples escapers and Term::AppendNTriples must equal the
+// byte-at-a-time references, whichever 8-byte word or short tail the byte
+// lands in.
+TEST(Escape, EveryByteAtEveryOffsetMatchesByteReference) {
+  static constexpr unsigned char kFill[] = {'a',  0x20, 0x21, '[', ']',
+                                            0x7F, 0x80, 0xFF, 'z'};
+  std::string s;
+  for (size_t len = 1; len <= 24; ++len) {
+    for (bool trailing_quote : {false, true}) {
+      for (size_t at = 0; at < len; ++at) {
+        for (int b = 0; b < 256; ++b) {
+          s.resize(len);
+          for (size_t i = 0; i < len; ++i)
+            s[i] = static_cast<char>(kFill[i % sizeof kFill]);
+          if (trailing_quote) s[len - 1] = '"';
+          s[at] = static_cast<char>(b);
+          SCOPED_TRACE("byte " + std::to_string(b) + " at " + std::to_string(at) +
+                       " of " + std::to_string(len));
+          const std::string nt = ReferenceNTriplesEscape(s);
+          std::string json = "prefix";
+          server::AppendJsonEscaped(s, &json);
+          ASSERT_EQ(json, "prefix" + ReferenceJsonEscape(s));
+          ASSERT_EQ(EscapeNTriples(s), nt);
+          std::string term = "prefix";
+          Term::Literal(s).AppendNTriples(&term);
+          ASSERT_EQ(term, "prefix\"" + nt + "\"");
+          const auto first = std::find_if(s.begin(), s.end(), [](char c) {
+            const auto u = static_cast<unsigned char>(c);
+            return u < 0x20 || u == '"' || u == '\\';
+          });
+          ASSERT_EQ(util::FindEscapeByte(s, 0), static_cast<size_t>(first - s.begin()));
+        }
+      }
+    }
+  }
 }
 
 TEST(Term, NumericValueInteger) {

@@ -1,15 +1,16 @@
 // HTTP SPARQL endpoint tests, all over an in-process SparqlServer on an
 // ephemeral port:
 //  * encoders: hand-written golden bytes for JSON and TSV (every term
-//    shape, escapes, unbound cells, separators, footers with and without a
-//    stop cause);
+//    shape, escapes in every 8-byte word and in a short tail, unbound
+//    cells, separators, footers with and without a stop cause);
 //  * chunked writer: a chunk far larger than the socket buffer arrives
 //    intact through partial sendmsg writes;
 //  * protocol: JSON/TSV result encoding matches Executor::Execute byte for
 //    byte, on both sides of the switch from inline rows to the worker's
 //    writer (0, 1, just under and just over the first full chunk, 10k
-//    rows); X-Plan-Cache miss-then-hit with identical rows; malformed
-//    queries get a 400 whose body carries the parse error; per-request
+//    rows), and a spilled response goes out in 64 KB chunks; X-Plan-Cache
+//    miss-then-hit with identical rows; malformed queries get a 400 whose
+//    body carries the parse error; per-request
 //    deadline maps to 408 before the first row and an in-body stop marker
 //    after it (inline or spilled), a row budget is a 200 with the marker
 //    before the first row, inline, or spilled, and a request can tighten the
@@ -17,9 +18,11 @@
 //    reading holds its worker no longer than the deadline;
 //  * live store: a cached plan keeps hitting across POST /update and
 //    answers with the updated rows; /stats reports compactions, whether one
-//    is building and how many updates the last one re-homed;
+//    is building and how many updates the last one re-homed, and counts
+//    queries and updates apart;
 //  * admission control: a saturated worker pool answers 503 immediately and
-//    recovers once the pool drains;
+//    recovers once the pool drains; an idle keep-alive client is closed
+//    after the read timeout, so it cannot hold a worker;
 //  * teardown: a client that disconnects mid-stream stops the search
 //    (Stop() joins everything, and the suite runs under ASan/TSan in CI);
 //  * threads: serving a query creates no thread, whether its response
@@ -208,6 +211,22 @@ TEST(ResultEncoderGolden, JsonNoRowsAndAllUnbound) {
   body += enc->EncodeRow(vars, {kInvalidId}, dict, nullptr);
   body += enc->EncodeRow(vars, {kInvalidId}, dict, nullptr);
   EXPECT_EQ(body, "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[\n{},\n{}");
+}
+
+TEST(ResultEncoderGolden, EscapesPastTheFirstWordAndInAShortTail) {
+  // 28 bytes: escapes in the second and third 8-byte words, a two-byte
+  // UTF-8 'é' in a clean run, and '\b' and 0x1F in the 4-byte tail.
+  rdf::Dictionary dict;
+  const std::vector<std::string> vars{"v"};
+  const sparql::Row row{dict.GetOrAdd(
+      rdf::Term::Literal("plain-run-\"caf\xC3\xA9 12345\\abc\b\x1F"))};
+  auto json = MakeResultEncoder("json");
+  EXPECT_EQ(json->EncodeRow(vars, row, dict, nullptr),
+            "{\"v\":{\"type\":\"literal\",\"value\":"
+            "\"plain-run-\\\"caf\xC3\xA9 12345\\\\abc\\u0008\\u001f\"}}");
+  auto tsv = MakeResultEncoder("tsv");
+  EXPECT_EQ(tsv->EncodeRow(vars, row, dict, nullptr),
+            "\"plain-run-\\\"caf\xC3\xA9 12345\\\\abc\\b\\u001F\"\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -723,6 +742,63 @@ TEST(ServerSpill, BodiesMatchReferenceOnBothSidesOfTheSwitch) {
   server.Stop();
 }
 
+/// Sends `target` on a connection of its own (Connection: close) and
+/// returns the sizes of the response's data chunks, read off the raw bytes.
+std::vector<size_t> ChunkSizes(uint16_t port, const std::string& target) {
+  int fd = DialLocal(port);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return {};
+  EXPECT_TRUE(WriteHttpRequest(fd, "GET", target, {{"Connection", "close"}}).ok());
+  std::string raw;
+  char buf[16384];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;)
+    raw.append(buf, static_cast<size_t>(n));
+  ::close(fd);
+  std::vector<size_t> sizes;
+  size_t pos = raw.find("\r\n\r\n");
+  if (pos == std::string::npos) {
+    ADD_FAILURE() << "no response head";
+    return sizes;
+  }
+  for (pos += 4;;) {
+    const size_t eol = raw.find("\r\n", pos);
+    if (eol == std::string::npos) {
+      ADD_FAILURE() << "truncated chunked body";
+      break;
+    }
+    const size_t len = std::strtoull(raw.c_str() + pos, nullptr, 16);
+    if (len == 0) break;
+    sizes.push_back(len);
+    pos = eol + 2 + len + 2;  // size line, data, CRLF
+  }
+  return sizes;
+}
+
+TEST(ServerSpill, SpilledResponseGoesOutIn64KBChunks) {
+  rdf::Dataset ds = TinyData();
+  GateSolver solver(ds.dict(), 10'000, /*gated=*/false);
+  QueryEngine engine(&solver);
+  SparqlServer server(&engine, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  for (const std::string format : {"tsv", "json"}) {
+    const std::vector<size_t> sizes = ChunkSizes(
+        server.port(), "/sparql?format=" + format + "&query=" + UrlEncode(kPairQuery));
+    size_t bytes = 0;
+    for (size_t n : sizes) bytes += n;
+    EXPECT_EQ(bytes, Reference(engine, kPairQuery, format).size()) << format;
+    // The first row alone, one ~8 KB chunk, then the writer's ~64 KB chunks;
+    // the last chunk carries the rest with the footer.
+    EXPECT_EQ(sizes.size(), (bytes + 65535) / 65536 + 2)
+        << format << ", " << bytes << " bytes";
+    ASSERT_GE(sizes.size(), 4u) << format;
+    EXPECT_GE(sizes[1], 8192u) << format;
+    EXPECT_LT(sizes[1], 65536u) << format;
+    for (size_t i = 2; i + 1 < sizes.size(); ++i) EXPECT_GE(sizes[i], 65536u) << format;
+  }
+  EXPECT_EQ(server.stats().responses_spilled, 2u);
+  server.Stop();
+}
+
 TEST(ServerThreads, NoThreadPerQuery) {
   rdf::Dataset ds = TinyData();
   struct Case {
@@ -823,6 +899,39 @@ TEST(ServerLiveStore, StatsReportCompaction) {
   server.Stop();
 }
 
+TEST(ServerLiveStore, StatsCountQueriesAndUpdatesApart) {
+  store::LiveStore live(TinyData());
+  SparqlServer server(&live, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  int fd = DialLocal(server.port());
+  ASSERT_GE(fd, 0);
+  std::string leftover;
+  // Four queries and two updates, interleaved on one keep-alive connection.
+  for (int i = 0; i < 6; ++i) {
+    HttpResponse resp;
+    if (i % 3 == 2) {
+      ASSERT_TRUE(WriteHttpRequest(fd, "POST", "/update",
+                                   {{"Content-Type", "application/sparql-update"}},
+                                   "INSERT DATA { <http://x/s" + std::to_string(i) +
+                                       "> <http://x/p> <http://x/o9> . }")
+                      .ok());
+    } else {
+      ASSERT_TRUE(
+          WriteHttpRequest(fd, "GET", "/sparql?format=tsv&query=" + UrlEncode(kPairQuery))
+              .ok());
+    }
+    ASSERT_TRUE(ReadHttpResponse(fd, &resp, &leftover).ok());
+    EXPECT_EQ(resp.status, 200) << "request " << i << ": " << resp.body;
+  }
+  ::close(fd);
+  EXPECT_EQ(server.stats().requests, 4u);
+  EXPECT_EQ(server.stats().updates, 2u);
+  HttpResponse stats;
+  ASSERT_TRUE(HttpGet(server.port(), "/stats", &stats).ok());
+  EXPECT_NE(stats.body.find("{\"requests\":4,"), std::string::npos) << stats.body;
+  server.Stop();
+}
+
 TEST(ServerLimits, RowBudgetStopCarriesInBodyMarkerAndTrailer) {
   rdf::Dataset ds = TinyData();
   GateSolver solver(ds.dict(), 100'000, /*gated=*/false);
@@ -870,6 +979,52 @@ TEST(ServerLimits, RowBudgetBeforeFirstRowIsEmpty200WithMarker) {
   EXPECT_EQ(json.body,
             "{\"head\":{\"vars\":[\"s\",\"o\"]},\"results\":{\"bindings\":[\n\n]},"
             "\"stopped\":\"row budget\"}\n");
+  server.Stop();
+}
+
+TEST(ServerReadTimeout, IdleKeepAliveClientIsClosedAfterTheTimeout) {
+  rdf::Dataset ds = TinyData();
+  GateSolver solver(ds.dict(), 4, /*gated=*/false);
+  QueryEngine engine(&solver);
+  ServerConfig config;
+  config.workers = 1;  // the idle connection holds the only worker
+  config.read_timeout_ms = 300;
+  SparqlServer server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string target = "/sparql?format=tsv&query=" + UrlEncode(kPairQuery);
+
+  // A keep-alive client that is served once and then sends nothing more.
+  int idle = DialLocal(server.port());
+  ASSERT_GE(idle, 0);
+  HttpResponse first;
+  std::string leftover;
+  ASSERT_TRUE(WriteHttpRequest(idle, "GET", target).ok());
+  ASSERT_TRUE(ReadHttpResponse(idle, &first, &leftover).ok());
+  EXPECT_EQ(first.status, 200);
+  const steady_clock::time_point start = steady_clock::now();
+
+  // Without a read timeout the worker would wait on the idle client
+  // forever; the watchdog then hangs up for it, so the test fails instead
+  // of hanging.
+  std::atomic<bool> served{false};
+  std::thread watchdog([&] {
+    const steady_clock::time_point until = steady_clock::now() + std::chrono::seconds(5);
+    while (!served.load() && steady_clock::now() < until)
+      std::this_thread::sleep_for(milliseconds(5));
+    if (!served.load()) ::shutdown(idle, SHUT_WR);
+  });
+  HttpResponse second;
+  EXPECT_TRUE(HttpGet(server.port(), target, &second).ok());
+  const auto waited = steady_clock::now() - start;
+  served.store(true);
+  watchdog.join();
+  EXPECT_EQ(second.status, 200);
+  EXPECT_LT(waited, milliseconds(300 + 1000));
+  // The server closed the idle connection without an answer.
+  char c;
+  EXPECT_EQ(::recv(idle, &c, 1, 0), 0);
+  EXPECT_EQ(server.stats().bad_requests, 0u);
+  ::close(idle);
   server.Stop();
 }
 
