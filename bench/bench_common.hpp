@@ -20,7 +20,6 @@
 #include "baseline/solvers.hpp"
 #include "baseline/triple_index.hpp"
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "util/timer.hpp"
@@ -103,7 +102,7 @@ inline Timed TimeQuery(const sparql::QueryEngine& engine, const std::string& que
 }
 
 /// Solver-level convenience: wraps the solver in a (non-owning) QueryEngine
-/// so every table driver measures the same streaming cursor path.
+/// so every table driver measures the same cursor path.
 inline Timed TimeQuery(const sparql::BgpSolver& solver, const std::string& query,
                        int reps = RepsFromEnv()) {
   return TimeQuery(sparql::QueryEngine(&solver), query, reps);

@@ -1,26 +1,24 @@
-// Streaming-cursor bench: time-to-first-row and peak buffered rows for the
-// solution-heavy LUBM queries, materialized vs producer-thread streaming
-// over the bounded delivery channel.
+// Row-delivery bench: time to first row and peak buffered rows for the
+// solution-heavy LUBM queries, a materialized cursor (Next) against a push
+// run (Cursor::Run into a counting sink).
 //
-// The two metrics the channel architecture exists for:
+// The two metrics the push surface exists for:
 //   * ttfr_ms — a materialized cursor cannot return its first row until the
-//     whole enumeration finishes; a streaming cursor returns it as soon as
-//     the first solution reaches the channel;
-//   * peak_buffered — materialized mode holds every delivered row at once,
-//     streaming holds at most channel_capacity rows in flight (plus any
-//     sort/group operator buffers).
+//     whole enumeration finishes; a push run hands it to the sink as soon as
+//     the search finds it;
+//   * peak_buffered — materialized mode holds every delivered row at once;
+//     a push run holds none (plus any sort/group operator buffers, which
+//     these queries do not have).
 //
 // A third, machine-independent one: allocs_per_row, the heap allocations of
-// one warm Open + drain divided by its rows. Rows cross the channel in flat
-// batches and Next() copies into the caller's reused Row, so a streaming
-// drain allocates per batch, not per row. Omitted under ASan (the sanitizer
-// owns the allocator).
+// one warm Open + run divided by its rows. A push run hands the sink the
+// pipeline's own row, so it allocates per query, not per row. Omitted under
+// ASan (the sanitizer owns the allocator).
 //
 // With BENCH_JSON=<path> the run emits the machine-tagged report consumed by
 // bench/compare_results.py; bench/results/streaming.json is the checked-in
-// reference-VM baseline. Entries are named LUBM<n>/Q<i>/{materialized,
-// streaming<cap>} with metrics ttfr_ms / ms / rows / peak_buffered /
-// peak_channel / allocs_per_row.
+// reference-VM baseline. Entries are named LUBM<n>/Q<i>/{materialized,push}
+// with metrics ttfr_ms / ms / rows / peak_buffered / allocs_per_row.
 #include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -30,39 +28,41 @@ using namespace turbo;
 
 namespace {
 
-constexpr uint32_t kCapacity = 64;
-
 struct Measured {
-  double ttfr_ms = 0;        ///< Open + first Next
-  double ms = 0;             ///< Open + full drain
+  double ttfr_ms = 0;        ///< Open + first row
+  double ms = 0;             ///< Open + every row
   size_t rows = 0;
   uint64_t peak_buffered = 0;  ///< Cursor::peak_buffered_rows
-  uint64_t peak_channel = 0;   ///< Cursor::peak_channel_rows
-  uint64_t allocs = 0;         ///< heap allocations of the last Open + drain
+  uint64_t allocs = 0;         ///< heap allocations of the last Open + run
 };
 
-Measured TimeDrain(const sparql::QueryEngine& engine, const std::string& query,
-                   const sparql::ExecOptions& opts, int reps) {
+/// Times `reps` runs of `query`: drained through Next() when `push` is
+/// false, through Run() into a sink that only counts when it is true.
+Measured TimeRun(const sparql::QueryEngine& engine, const std::string& query, bool push,
+                 int reps) {
   Measured result;
   std::vector<double> ttfr, total;
   for (int i = 0; i < reps; ++i) {
     const uint64_t allocs_before = bench::AllocCount();
     util::WallTimer t;
-    auto cursor = engine.Open(query, opts);
+    auto cursor = engine.Open(query);
     size_t rows = 0;
     double first = 0;
     if (cursor.ok()) {
-      sparql::Row row;
-      if (cursor.value().Next(&row)) {
-        first = t.ElapsedMillis();
-        rows = 1;
-        while (cursor.value().Next(&row)) ++rows;
+      sparql::Cursor& cur = cursor.value();
+      if (push) {
+        cur.Run([&](const sparql::Row&) {
+          if (rows++ == 0) first = t.ElapsedMillis();
+          return sparql::EmitResult::kContinue;
+        });
       } else {
-        first = t.ElapsedMillis();
+        sparql::Row row;
+        while (cur.Next(&row))
+          if (rows++ == 0) first = t.ElapsedMillis();
       }
+      if (rows == 0) first = t.ElapsedMillis();
       result.allocs = bench::AllocCount() - allocs_before;
-      result.peak_buffered = cursor.value().peak_buffered_rows();
-      result.peak_channel = cursor.value().peak_channel_rows();
+      result.peak_buffered = cur.peak_buffered_rows();
     }
     double ms = t.ElapsedMillis();
     result.rows = rows;
@@ -99,7 +99,6 @@ int main() {
   bench::BenchReport report;
   report.bench = "bench_streaming";
   report.machine = bench::MachineTag();
-  report.config["channel_capacity"] = std::to_string(kCapacity);
   report.config["reps"] = std::to_string(reps);
 
   for (uint32_t n : scales) {
@@ -111,33 +110,27 @@ int main() {
                 prep.ElapsedSeconds());
     sparql::QueryEngine engine(std::move(ds));
 
-    bench::PrintHeader("streaming vs materialized: time-to-first-row [ms]");
-    bench::PrintRow("query", {"mat ttfr", "strm ttfr", "mat peak", "strm peak",
-                              "chan peak", "rows"});
+    bench::PrintHeader("push run vs materialized: time-to-first-row [ms]");
+    bench::PrintRow("query", {"mat ttfr", "push ttfr", "mat peak", "push peak", "rows"});
     for (int qi : increasing) {
       const std::string& query = queries[qi - 1];
-      Measured mat = TimeDrain(engine, query, {}, reps);
-      sparql::ExecOptions opts;
-      opts.streaming = true;
-      opts.channel_capacity = kCapacity;
-      Measured strm = TimeDrain(engine, query, opts, reps);
+      Measured mat = TimeRun(engine, query, /*push=*/false, reps);
+      Measured push = TimeRun(engine, query, /*push=*/true, reps);
 
       bench::PrintRow("Q" + std::to_string(qi),
-                      {bench::Ms(mat.ttfr_ms), bench::Ms(strm.ttfr_ms),
-                       bench::Num(mat.peak_buffered), bench::Num(strm.peak_buffered),
-                       bench::Num(strm.peak_channel), bench::Num(strm.rows)});
+                      {bench::Ms(mat.ttfr_ms), bench::Ms(push.ttfr_ms),
+                       bench::Num(mat.peak_buffered), bench::Num(push.peak_buffered),
+                       bench::Num(push.rows)});
 
-      const std::string strm_tag = "streaming" + std::to_string(kCapacity);
       for (const auto& [tag, m] :
            {std::pair<std::string, const Measured&>{"materialized", mat},
-            std::pair<std::string, const Measured&>{strm_tag, strm}}) {
+            std::pair<std::string, const Measured&>{"push", push}}) {
         bench::BenchResult res;
         res.name = "LUBM" + std::to_string(n) + "/Q" + std::to_string(qi) + "/" + tag;
         res.metrics["ttfr_ms"] = m.ttfr_ms;
         res.metrics["ms"] = m.ms;
         res.metrics["rows"] = static_cast<double>(m.rows);
         res.metrics["peak_buffered"] = static_cast<double>(m.peak_buffered);
-        res.metrics["peak_channel"] = static_cast<double>(m.peak_channel);
         if (bench::kAllocCountingEnabled && m.rows > 0)
           res.metrics["allocs_per_row"] =
               static_cast<double>(m.allocs) / static_cast<double>(m.rows);

@@ -23,8 +23,7 @@ int main() {
     sparql::TurboBgpSolver solver(g, ds.dict());
     std::vector<std::string> cells;
     for (const auto& q : queries) {
-      sparql::Executor ex(&solver);
-      auto r = ex.Execute(q);
+      auto r = sparql::Materialize(solver, q);
       cells.push_back(r.ok() ? bench::Num(r.value().rows.size()) : "ERR");
     }
     bench::PrintRow("LUBM" + std::to_string(n), cells);

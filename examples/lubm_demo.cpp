@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "util/timer.hpp"
 #include "workload/lubm.hpp"
@@ -31,14 +31,13 @@ int main(int argc, char** argv) {
               graph.num_vertex_labels(), timer.ElapsedSeconds());
 
   turbo::sparql::TurboBgpSolver solver(graph, dataset.dict());
-  turbo::sparql::Executor executor(&solver);
   auto queries = turbo::workload::LubmQueries();
   std::printf("%-5s %12s %12s %10s %12s\n", "query", "solutions", "time[ms]", "regions",
               "CR vertices");
   for (size_t i = 0; i < queries.size(); ++i) {
     solver.ResetStats();
     turbo::util::WallTimer qt;
-    auto result = executor.Execute(queries[i]);
+    auto result = turbo::sparql::Materialize(solver, queries[i]);
     double ms = qt.ElapsedMillis();
     if (!result.ok()) {
       std::fprintf(stderr, "Q%zu failed: %s\n", i + 1, result.message().c_str());

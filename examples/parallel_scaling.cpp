@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "util/timer.hpp"
 #include "workload/lubm.hpp"
@@ -31,11 +31,10 @@ int main(int argc, char** argv) {
     opts.num_threads = threads;
     opts.chunk_size = 16;  // small dynamic chunks keep skewed regions balanced
     sparql::TurboBgpSolver solver(g, ds.dict(), opts);
-    sparql::Executor ex(&solver);
     // Warm-up, then measure.
-    (void)ex.Execute(q9);
+    (void)sparql::Materialize(solver, q9);
     util::WallTimer t;
-    auto r = ex.Execute(q9);
+    auto r = sparql::Materialize(solver, q9);
     double ms = t.ElapsedMillis();
     if (!r.ok()) {
       std::fprintf(stderr, "error: %s\n", r.message().c_str());

@@ -1,8 +1,10 @@
-// sparql_shell: command-line SPARQL processor over the streaming query API —
-// the kind of front-end a downstream user would drive the library with. The
+// sparql_shell: command-line SPARQL processor over the query API — the kind
+// of front-end a downstream user would drive the library with. The
 // QueryEngine facade owns the dataset and the chosen solver; every query
-// runs through Prepare + Open and streams rows from a Cursor as they clear
-// the solution modifiers, with optional per-query budgets.
+// runs through Prepare + Open and a push run (Cursor::Run) that prints each
+// row as it clears the solution modifiers, so output starts with the first
+// row and memory stays constant without a sort or group stage. Optional
+// per-query budgets apply.
 //
 //   # load N-Triples through the parallel ingestion pipeline, run one query:
 //   $ ./examples/sparql_shell --nt data.nt 'SELECT ?s WHERE { ?s ?p ?o . }'
@@ -19,9 +21,7 @@
 //          --threads N (query parallelism), --load-threads N (ingestion
 //          parallelism, 0 = all cores), --skip-bad-lines (tolerate malformed
 //          N-Triples lines), --no-inference, --max-rows N (server-style
-//          delivery cap), --timeout-ms N (per-query deadline), --explain,
-//          --stream[=capacity] (constant-memory streaming delivery over a
-//          bounded channel; default capacity 64)
+//          delivery cap), --timeout-ms N (per-query deadline), --explain
 //          (print the executed operator tree with per-operator row counts).
 //
 // Live updates: the engine is wrapped in a LiveStore, so data is mutable
@@ -61,10 +61,6 @@ struct QueryLimits {
   uint64_t max_rows = sparql::kNoBudget;
   int64_t timeout_ms = -1;
   bool explain = false;
-  /// 0 = materialized; otherwise stream rows through a bounded channel of
-  /// this capacity (constant-memory delivery, first rows print while the
-  /// enumeration is still running).
-  uint32_t stream_capacity = 0;
 };
 
 void RunQuery(const store::LiveStore& store, const QueryLimits& limits,
@@ -77,10 +73,6 @@ void RunQuery(const store::LiveStore& store, const QueryLimits& limits,
   }
   sparql::ExecOptions opts;
   opts.limit_budget = limits.max_rows;
-  if (limits.stream_capacity > 0) {
-    opts.streaming = true;
-    opts.channel_capacity = limits.stream_capacity;
-  }
   if (limits.timeout_ms >= 0)
     opts.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(limits.timeout_ms);
@@ -92,31 +84,32 @@ void RunQuery(const store::LiveStore& store, const QueryLimits& limits,
     std::fprintf(stderr, "error: %s\n", cursor.message().c_str());
     return;
   }
+  sparql::Cursor& cur = cursor.value();
   size_t rows = 0;
-  sparql::Row row;
-  while (cursor.value().Next(&row)) {
-    std::printf("%s\n", sparql::FormatRow(cursor.value().var_names(), row, snap->dict(),
-                                          cursor.value().local_vocab().get())
+  cur.Run([&](const sparql::Row& row) {
+    std::printf("%s\n", sparql::FormatRow(cur.var_names(), row, snap->dict(),
+                                          cur.local_vocab().get())
                             .c_str());
     ++rows;
-  }
-  if (!cursor.value().status().ok()) {
+    return sparql::EmitResult::kContinue;
+  });
+  if (!cur.status().ok()) {
     // A deadline / cancel trip surfaces here: name the cause so a scripted
     // caller can tell "--timeout-ms fired" from a genuine solver failure.
     std::fprintf(stderr, "error: %s (stop cause: %s; %zu rows delivered)\n",
-                 cursor.value().status().message().c_str(),
-                 sparql::ToString(cursor.value().stop_cause()), rows);
+                 cur.status().message().c_str(),
+                 sparql::ToString(cur.stop_cause()), rows);
     return;
   }
   std::printf("-- %zu rows in %.2f ms\n", rows, t.ElapsedMillis());
-  if (cursor.value().stop_cause() != sparql::StopCause::kNone)
+  if (cur.stop_cause() != sparql::StopCause::kNone)
     // Ok status but a tripped budget: the stream ended early, not at the
     // natural end of results — say so instead of passing off as complete.
     std::fprintf(stderr, "-- stopped early (%s): results above are partial\n",
-                 sparql::ToString(cursor.value().stop_cause()));
+                 sparql::ToString(cur.stop_cause()));
   if (limits.explain)
     std::fprintf(stderr, "-- plan (per-operator rows):\n%s",
-                 cursor.value().Explain().c_str());
+                 cur.Explain().c_str());
 }
 
 void RunUpdate(store::LiveStore& store, const std::string& text) {
@@ -183,10 +176,6 @@ int main(int argc, char** argv) {
     else if (arg == "--max-rows") limits.max_rows = std::strtoull(next(), nullptr, 10);
     else if (arg == "--timeout-ms") limits.timeout_ms = std::atoll(next());
     else if (arg == "--explain") limits.explain = true;
-    else if (arg == "--stream") limits.stream_capacity = 64;
-    else if (arg.rfind("--stream=", 0) == 0)
-      limits.stream_capacity =
-          std::max(1u, static_cast<uint32_t>(std::atoi(arg.c_str() + 9)));
     else if (arg == "--direct") direct = true;
     else if (arg == "--skip-bad-lines") skip_bad = true;
     else if (arg == "--no-inference") inference = false;

@@ -485,13 +485,11 @@ class Worker {
 
   bool aborted() const { return aborted_; }
 
-  /// True when the caller's cancel token, abandon flag, or deadline has
-  /// fired. The deadline branch pays a steady_clock read, so callers
-  /// amortize.
+  /// True when the caller's cancel token or deadline has fired. The
+  /// deadline branch pays a steady_clock read, so callers amortize.
   bool ExternalFired() const {
     const MatchOptions& opt = ctx_.opt();
     if (opt.cancel && opt.cancel->load(std::memory_order_relaxed)) return true;
-    if (opt.abandon && opt.abandon->load(std::memory_order_relaxed)) return true;
     return opt.has_deadline() && std::chrono::steady_clock::now() >= opt.deadline;
   }
 
@@ -507,8 +505,7 @@ class Worker {
       return true;
     }
     const MatchOptions& opt = ctx_.opt();
-    bool fired = (opt.cancel && opt.cancel->load(std::memory_order_relaxed)) ||
-                 (opt.abandon && opt.abandon->load(std::memory_order_relaxed));
+    bool fired = opt.cancel && opt.cancel->load(std::memory_order_relaxed);
     if (!fired && opt.has_deadline() && (++search_poll_ & 0xFF) == 0)
       fired = std::chrono::steady_clock::now() >= opt.deadline;
     if (fired) {
@@ -851,7 +848,6 @@ MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const Quer
 
   auto externally_cancelled = [&]() {
     if (options.cancel && options.cancel->load(std::memory_order_relaxed)) return true;
-    if (options.abandon && options.abandon->load(std::memory_order_relaxed)) return true;
     return options.has_deadline() && std::chrono::steady_clock::now() >= options.deadline;
   };
 

@@ -57,11 +57,6 @@ struct MatchOptions {
   /// clock reads off the per-candidate hot path.
   std::chrono::steady_clock::time_point deadline{};
 
-  /// Consumer-detached stop signal: set when the streaming Cursor that
-  /// drives this match is destroyed mid-query. Behaves like `cancel` for the
-  /// enumeration but is reported as an abandonment, not a caller error.
-  const std::atomic<bool>* abandon = nullptr;
-
   bool has_deadline() const { return deadline.time_since_epoch().count() != 0; }
 };
 

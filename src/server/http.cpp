@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace turbo::server {
@@ -34,11 +35,69 @@ util::Status RecvError() {
   return util::Status::Error(std::string("recv: ") + std::strerror(errno));
 }
 
+/// Bounds a whole request read by the socket's receive timeout. SO_RCVTIMEO
+/// alone bounds each recv, so a client that trickles one byte per timeout
+/// could hold the reader for as many timeouts as the request has bytes. The
+/// deadline counts from the start of the read. A request that arrives in
+/// one recv never consults it; a partial one reads the socket's timeout
+/// once and then polls for the time left before each further recv.
+class ReadDeadline {
+ public:
+  explicit ReadDeadline(int fd) : fd_(fd), start_(std::chrono::steady_clock::now()) {}
+
+  /// Call before each recv. False once the deadline has passed with no
+  /// input; true when the recv may go ahead (input or a socket error is
+  /// pending, or the socket has no timeout).
+  bool BeforeRecv() {
+    if (first_) {
+      first_ = false;
+      return true;
+    }
+    if (!timeout_read_) {
+      timeout_read_ = true;
+      timeval tv{};
+      socklen_t len = sizeof tv;
+      if (::getsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, &len) == 0)
+        timeout_ = std::chrono::seconds(tv.tv_sec) + std::chrono::microseconds(tv.tv_usec);
+    }
+    if (timeout_.count() == 0) return true;
+    for (;;) {
+      auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          start_ + timeout_ - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      pollfd p{fd_, POLLIN, 0};
+      int r = ::poll(&p, 1, static_cast<int>(left.count()));
+      if (r > 0 || (r < 0 && errno != EINTR)) return true;
+    }
+  }
+
+ private:
+  int fd_;
+  std::chrono::steady_clock::time_point start_;
+  std::chrono::microseconds timeout_{0};
+  bool timeout_read_ = false;
+  bool first_ = true;
+};
+
+/// Reads what the socket has into `buf` (at most 4 KB), first checking
+/// `deadline` when there is one. Returns the recv result, or -1 with errno
+/// EAGAIN once the deadline has passed.
+ssize_t RecvInto(int fd, ReadDeadline* deadline, std::string* buf) {
+  if (deadline && !deadline->BeforeRecv()) {
+    errno = EAGAIN;
+    return -1;
+  }
+  char chunk[4096];
+  ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+  if (n > 0) buf->append(chunk, static_cast<size_t>(n));
+  return n;
+}
+
 /// Appends socket data to `buf` until `delim` appears or `max` bytes are
 /// buffered. Returns Ok with the delimiter position in *pos; "connection
 /// closed" if the peer hung up with an empty buffer (clean keep-alive end).
 util::Status ReadUntil(int fd, const std::string& delim, size_t max, std::string* buf,
-                       size_t* pos) {
+                       size_t* pos, ReadDeadline* deadline = nullptr) {
   for (;;) {
     size_t p = buf->find(delim);
     if (p != std::string::npos) {
@@ -46,8 +105,7 @@ util::Status ReadUntil(int fd, const std::string& delim, size_t max, std::string
       return util::Status::Ok();
     }
     if (buf->size() > max) return util::Status::Error("input too large");
-    char chunk[4096];
-    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    ssize_t n = RecvInto(fd, deadline, buf);
     if (n == 0)
       return util::Status::Error(buf->empty() ? "connection closed"
                                               : "truncated input");
@@ -55,22 +113,20 @@ util::Status ReadUntil(int fd, const std::string& delim, size_t max, std::string
       if (errno == EINTR) continue;
       return RecvError();
     }
-    buf->append(chunk, static_cast<size_t>(n));
   }
 }
 
 /// Ensures `buf` holds at least `need` bytes.
-util::Status ReadExact(int fd, size_t need, size_t max, std::string* buf) {
+util::Status ReadExact(int fd, size_t need, size_t max, std::string* buf,
+                       ReadDeadline* deadline = nullptr) {
   while (buf->size() < need) {
     if (need > max) return util::Status::Error("input too large");
-    char chunk[4096];
-    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    ssize_t n = RecvInto(fd, deadline, buf);
     if (n == 0) return util::Status::Error("truncated input");
     if (n < 0) {
       if (errno == EINTR) continue;
       return RecvError();
     }
-    buf->append(chunk, static_cast<size_t>(n));
   }
   return util::Status::Ok();
 }
@@ -140,8 +196,10 @@ void ParseFormParams(const std::string& s, std::map<std::string, std::string>* o
 
 util::Status ReadHttpRequest(int fd, HttpRequest* req, std::string* leftover) {
   *req = HttpRequest{};
+  ReadDeadline deadline(fd);
   size_t head_end = 0;
-  if (auto st = ReadUntil(fd, "\r\n\r\n", kMaxHeaderBytes, leftover, &head_end); !st.ok())
+  if (auto st = ReadUntil(fd, "\r\n\r\n", kMaxHeaderBytes, leftover, &head_end, &deadline);
+      !st.ok())
     return st;
   std::string head = leftover->substr(0, head_end);
   leftover->erase(0, head_end + 4);
@@ -168,7 +226,8 @@ util::Status ReadHttpRequest(int fd, HttpRequest* req, std::string* leftover) {
     unsigned long long len = std::strtoull(cl.c_str(), &end, 10);
     if (end == cl.c_str() || *end != '\0' || len > kMaxBodyBytes)
       return util::Status::Error("bad content-length");
-    if (auto st = ReadExact(fd, len, kMaxBodyBytes, leftover); !st.ok()) return st;
+    if (auto st = ReadExact(fd, len, kMaxBodyBytes, leftover, &deadline); !st.ok())
+      return st;
     req->body = leftover->substr(0, len);
     leftover->erase(0, len);
   }

@@ -46,7 +46,9 @@ void ParseFormParams(const std::string& s, std::map<std::string, std::string>* o
 /// every request on one connection. Returns an error on malformed input,
 /// oversized input, or a closed/broken socket (message "connection closed"
 /// when the peer hung up cleanly between requests, "read timed out" when a
-/// socket with SO_RCVTIMEO waited past it).
+/// socket with SO_RCVTIMEO waited past it). That timeout bounds the whole
+/// request, not just each recv: a request still incomplete once it has
+/// passed since the call began fails the same way.
 util::Status ReadHttpRequest(int fd, HttpRequest* req, std::string* leftover);
 
 /// Response writer over one socket. Either use WriteSimple (fixed-length,

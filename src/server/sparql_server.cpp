@@ -22,9 +22,9 @@
 #include "graph/data_graph.hpp"
 #include "server/http.hpp"
 #include "server/result_encoder.hpp"
-#include "sparql/operators.hpp"
 #include "sparql/parser.hpp"
 #include "store/live_store.hpp"
+#include "util/channel.hpp"
 
 namespace turbo::server {
 namespace {
@@ -99,7 +99,8 @@ constexpr size_t kSpillChunkBytes = 64 * 1024;
 constexpr size_t kSpillBatchRows = 16;
 constexpr size_t kSpillSlots = 4;
 
-using sparql::RowChannel;
+/// Row batches from a worker's sink to its spill writer.
+using RowChannel = util::Channel<sparql::RowBatch>;
 
 /// What one /sparql response is encoded from and written to. The worker
 /// owns it; once the response spills, the writer uses it until Wait().
@@ -260,9 +261,9 @@ struct SparqlServer::Impl {
       // ACK turns every response tail into a ~40ms stall.
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      // An idle keep-alive client must not hold a worker forever: a read
-      // that waits longer than this fails, and the worker closes the
-      // connection.
+      // An idle or trickling client must not hold a worker forever: a
+      // request read that takes longer than this fails, and the worker
+      // closes the connection.
       if (config.read_timeout_ms > 0) {
         timeval tv{};
         tv.tv_sec = static_cast<time_t>(config.read_timeout_ms / 1000);

@@ -56,8 +56,8 @@
 // Threading: an acceptor thread hands accepted connections to a bounded
 // pool of workers, each with one writer thread, all started in Start and
 // joined in Stop; each connection is owned by one worker for its keep-alive
-// lifetime (thread-per-connection with a bounded pool), or until it sends
-// nothing for ServerConfig::read_timeout_ms. When the pool and the wait
+// lifetime (thread-per-connection with a bounded pool), or until one
+// request read outlasts ServerConfig::read_timeout_ms. When the pool and the wait
 // queue are both full, the acceptor answers 503 immediately rather than
 // letting connections queue unbounded. A client that disconnects
 // mid-stream fails the next chunk write, inline or on the writer; the sink
@@ -86,8 +86,9 @@ struct ServerConfig {
   /// Server-wide defaults, applied when a request names no tighter value.
   uint64_t default_timeout_ms = 0;  ///< deadline cap; 0 = none
   uint64_t max_row_budget = sparql::kNoBudget;
-  /// Longest wait for request bytes (SO_RCVTIMEO on each accepted
-  /// connection); a connection idle that long is closed. 0 = none.
+  /// Longest wait for one request (SO_RCVTIMEO on each accepted
+  /// connection): a connection idle that long, or one whose request is
+  /// still incomplete that long after its read began, is closed. 0 = none.
   uint64_t read_timeout_ms = 30000;
 };
 

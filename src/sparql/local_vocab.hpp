@@ -7,10 +7,12 @@
 //
 // One LocalVocab lives per cursor execution; the Cursor / ResultSet share
 // ownership so delivered rows stay resolvable after the pipeline is gone.
-// Streaming cursors intern on the producer thread while the consumer
-// resolves already-delivered rows, so Intern/Find/Numeric synchronize on an
-// internal mutex; deques keep term references stable across growth, so a
-// pointer returned by Find stays valid for the vocab's lifetime.
+// Two threads can touch one vocab at once: an HTTP worker's spill writer
+// resolves delivered rows while the worker's BIND or aggregate still
+// interns, and the live store's term overlay is shared by every reader of
+// an epoch. So Intern/Find/Numeric synchronize on an internal mutex; deques
+// keep term references stable across growth, so a pointer returned by Find
+// stays valid for the vocab's lifetime.
 #pragma once
 
 #include <deque>

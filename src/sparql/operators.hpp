@@ -15,8 +15,7 @@
 //   OrderByOp/TopKOp pipeline breakers: full sort, or the bounded
 //                    offset+limit heap with arrival-sequence tiebreak
 //   SliceOp          OFFSET/LIMIT; the kStop origin for LIMIT pushdown
-//   CollectOp        root sink feeding the Cursor's delivery batch
-//   ChannelSink      streaming root sink: row batches into the channel
+//   CollectOp        root of a materialized run: the Cursor's row batch
 //   RelayOp          glue: terminates a branch sub-chain (or a push run's
 //                    pipeline) into a callback
 //
@@ -28,9 +27,9 @@
 // would: when SliceOp has delivered OFFSET+LIMIT rows its kStop unwinds
 // through every operator into SubgraphSearch, and blocking operators
 // (sort/group) absorb the demand boundary exactly where a pull tree would
-// block. Cursor::Next is the pull surface over a root sink (CollectOp, or
-// ChannelSink on a producer thread); Cursor::Run pushes straight into the
-// caller's sink on the calling thread (a RelayOp root).
+// block. Every execution is one push run on the calling thread:
+// Cursor::Run roots it at a RelayOp into the caller's sink, and
+// Cursor::Next runs it once into a CollectOp and serves rows from the batch.
 //
 // Lifecycle: Open() once (resets per-run state down the chain), Push() per
 // input row, Finish() once at end of input (blocking operators emit their
@@ -57,7 +56,6 @@
 #include "sparql/local_vocab.hpp"
 #include "sparql/solver.hpp"
 #include "sparql/typed_value.hpp"
-#include "util/channel.hpp"
 #include "util/status.hpp"
 
 namespace turbo::sparql {
@@ -79,7 +77,6 @@ struct ExecState {
   StopCause cause = StopCause::kNone;  ///< why `error` was raised
   uint64_t before_modifiers = 0;  ///< rows that reached the modifier stage
   uint64_t peak_buffered = 0;     ///< high-water mark of any operator buffer
-                                  ///< (delivery channel added by the cursor)
 
   /// Records the first error and its classification; later failures are
   /// ignored (the first stop is the one the cursor reports).
@@ -176,15 +173,9 @@ struct Pipeline {
   }
 };
 
-/// Snapshot of per-operator (rows_in, rows_out) counts keyed by operator,
-/// for rendering an EXPLAIN of a tree whose live counters are still being
-/// mutated on another thread (the streaming cursor's mid-stream snapshot).
-using ExplainCounts = std::unordered_map<const RowOp*, std::pair<uint64_t, uint64_t>>;
-
 /// Renders the chain starting at `head` as an indented tree with per-
-/// operator row counts (EXPLAIN). With `counts`, the snapshot values are
-/// rendered instead of the operators' live counters.
-std::string ExplainChain(const RowOp* head, const ExplainCounts* counts = nullptr);
+/// operator row counts (EXPLAIN).
+std::string ExplainChain(const RowOp* head);
 
 // ---------------------------------------------------------------------------
 // Pattern-matching operators (the WHERE clause).
@@ -619,106 +610,6 @@ class CollectOp final : public RowOp {
 
  private:
   RowBatch* out_;
-};
-
-/// Weighs a channel item by its row count, so the channel's peak counts
-/// rows while its capacity counts batch slots.
-struct BatchRows {
-  size_t operator()(const RowBatch& b) const { return b.size(); }
-};
-using RowChannel = util::Channel<RowBatch, BatchRows>;
-
-/// Batch geometry of a streaming delivery channel of `capacity` rows
-/// (ExecOptions::channel_capacity): batches of max(1, capacity/4) rows in
-/// (capacity + 2 - 2*rows) / rows channel slots. The queued rows then never
-/// exceed `capacity`, and queued rows plus one batch in the producer's hand
-/// plus one in the consumer's never exceed capacity + 2. Capacities below 8
-/// give one-row batches in `capacity` slots.
-struct DeliveryBatching {
-  size_t rows;   ///< rows per full batch
-  size_t slots;  ///< channel capacity, in batches
-
-  static DeliveryBatching For(size_t capacity) {
-    capacity = std::max<size_t>(capacity, 1);
-    const size_t rows = std::max<size_t>(1, capacity / 4);
-    return {rows, (capacity + 2 - 2 * rows) / rows};
-  }
-};
-
-/// Root sink for streaming cursors: appends each delivered row to its open
-/// batch and hands batches to the bounded delivery channel, blocking while
-/// the consumer lags. The first row of the stream goes out alone, so the
-/// consumer's first row (and an endpoint's first byte) tracks the
-/// enumeration rather than the batch; after it, only full batches are
-/// pushed, and Flush() hands over the partial one when the producer stops —
-/// however it stops. A channel closed by the consumer — the cursor was
-/// abandoned — reads as a plain kStop, the same unwind LIMIT pushdown uses,
-/// so teardown terminates the subgraph search itself rather than just the
-/// delivery.
-///
-/// The wait flavour depends on the execution's abort sources: a cancel token
-/// or deadline has no condvar hookup, so its presence forces the channel's
-/// sliced, polling wait (an aborted push records the control's error before
-/// stopping). With neither present the sink blocks in the channel's plain
-/// untimed wait — abandonment is always paired with CloseConsumer, which
-/// wakes it — so an abort-free stream never takes a spurious timed wakeup.
-///
-/// `on_deliver` (optional) runs on the producer thread once per batch, just
-/// before the batch is handed to the channel — the cursor's hook for
-/// publishing a consistent mid-stream EXPLAIN snapshot.
-class ChannelSink final : public RowOp {
- public:
-  ChannelSink(RowChannel* channel, size_t batch_rows, std::function<void()> on_deliver,
-              ExecState* state)
-      : RowOp("ChannelSink{cap=" + std::to_string(channel->capacity()) + "x" +
-                  std::to_string(batch_rows) + "}",
-              nullptr, state),
-        channel_(channel),
-        batch_rows_(batch_rows),
-        on_deliver_(std::move(on_deliver)) {}
-
-  EmitResult DoPush(const Row& row) override {
-    if (batch_.empty()) batch_.Reserve(batch_rows_, row.size());
-    batch_.Append(row);
-    if (sent_any_ && batch_.size() < batch_rows_) return EmitResult::kContinue;
-    return Send();
-  }
-
-  /// Hands the open partial batch to the channel. The producer calls this
-  /// once the pipeline has stopped — end of input, LIMIT, row budget,
-  /// deadline, or an exception — so rows emitted before the stop still
-  /// reach the consumer; after the consumer has closed it is a no-op.
-  void Flush() {
-    if (!batch_.empty()) Send();
-  }
-
- private:
-  EmitResult Send() {
-    sent_any_ = true;
-    // Snapshot before the push: once the consumer has popped row k, the
-    // published snapshot is guaranteed to cover at least k delivered rows.
-    if (on_deliver_) on_deliver_();
-    const EvalControl& c = state()->control;
-    const bool needs_probe = c.cancel != nullptr || c.has_deadline();
-    auto op = needs_probe ? channel_->Push(std::move(batch_),
-                                           [&c] {
-                                             return c.abandoned() || c.cancelled() ||
-                                                    c.expired();
-                                           })
-                          : channel_->Push(std::move(batch_));
-    batch_.Clear();  // moved-from either way: reset the row count
-    if (op == RowChannel::Op::kOk) return EmitResult::kContinue;
-    if (op == RowChannel::Op::kAborted)
-      state()->Fail(state()->control.Check(),
-                    CauseOf(state()->control, StopCause::kProducerFailed));
-    return EmitResult::kStop;
-  }
-
-  RowChannel* channel_;
-  size_t batch_rows_;
-  std::function<void()> on_deliver_;
-  RowBatch batch_;
-  bool sent_any_ = false;
 };
 
 }  // namespace turbo::sparql

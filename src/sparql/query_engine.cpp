@@ -1,7 +1,6 @@
 #include "sparql/query_engine.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "baseline/solvers.hpp"
@@ -277,15 +276,13 @@ struct Cursor::State {
   ExecOptions opts;
   util::Status status;
   StopCause cause = StopCause::kNone;  ///< classification of `status`
-  /// The rows Next() serves from: the whole delivered set in materialized
-  /// mode (CollectOp writes it), the last popped channel batch in
-  /// streaming mode. `served` counts the rows of it already handed out.
+  /// The rows Next() serves from (CollectOp writes them); `served` counts
+  /// the rows already handed out.
   RowBatch delivered;
   size_t served = 0;
   bool ran = false;
   uint64_t before_modifiers = 0;
   uint64_t peak_buffered = 0;  ///< high-water mark of rows held at once
-  uint64_t channel_peak = 0;   ///< delivery channel's own high-water mark
 
   /// The physical operator tree of this execution (kept after the run for
   /// EXPLAIN) and the state it shares.
@@ -294,62 +291,22 @@ struct Cursor::State {
   std::unique_ptr<FilterEvaluator> base_eval;  ///< over prepared->vars
   std::unique_ptr<FilterEvaluator> post_eval;  ///< over post_vars + local
 
-  // Streaming delivery (ExecOptions::streaming): the pipeline runs on
-  // `producer`, whose ChannelSink root pushes row batches into the bounded
-  // `channel`; Next() pops a batch at the consumer's pace. `abandoned` is
-  // wired into the pipeline's EvalControl (and down into MatchOptions), so
-  // setting it unwinds the enumeration like a cancel — teardown stops the
-  // search itself, not just the delivery. The plain (non-atomic) members
-  // above are written by the producer only before it signals completion and
-  // read by the consumer only after joining it, so they need no locking.
-  std::unique_ptr<RowChannel> channel;
-  ChannelSink* sink = nullptr;  ///< the streaming root, once built
-  std::thread producer;
-  std::atomic<bool> abandoned{false};
-  std::atomic<bool> producer_done{false};
-  bool stream_ended = false;  ///< consumer-side: status/counters settled
-
-  // Mid-stream EXPLAIN snapshot: the producer publishes a copy of every
-  // operator's (rows_in, rows_out) pair — in pipe.ops order — under
-  // explain_mu just before each batch is handed to the delivery channel.
-  // Publishing happens strictly after the operator tree is built, so a
-  // consumer that observes a non-empty snapshot under the same mutex may
-  // also walk the (by then immutable) tree structure.
-  std::mutex explain_mu;
-  std::vector<std::pair<uint64_t, uint64_t>> explain_snapshot;
-
-  ~State();
-  /// Runs the pipeline into `root` on this thread and settles status/cause/
-  /// counters (materialized: CollectOp; push: the caller's sink).
+  /// The one execution path: runs the pipeline into `root` on this thread
+  /// and settles status/cause/counters (Next: CollectOp; Run: the caller's
+  /// sink).
   void Run(RowOp* root);
-  void StartStreaming();  // create the channel, spawn the producer
-  void ProducerMain();
-  void PublishExplainSnapshot();
+  /// Next() and Explain() run the plan into `delivered` on first use.
+  void RunCollected() {
+    if (!ran) Run(pipe.Make<CollectOp>(&delivered, &pipe.state));
+  }
   /// Runs `body`, turning anything it throws into a kProducerFailed stop
   /// with the original message.
   template <typename Body>
   void Guarded(Body&& body);
   void RunPipeline(RowOp* root);
-  /// Consumer side of streaming: pops the next batch into `delivered`.
-  /// False at end-of-stream (status/counters then settled).
-  bool PopBatch();
-  /// Joins the producer and settles status/cause/counters. A non-Ok
-  /// `consumer_status` (the consumer's own cancel/deadline trip) takes
-  /// precedence over whatever the producer recorded.
-  void Settle(util::Status consumer_status, StopCause consumer_cause);
   RowOp* BuildWhereChain(const GroupPattern& g, RowOp* next);
   std::vector<std::vector<ValuesOp::Binding>> ResolveValues(const ValuesClause& v);
 };
-
-Cursor::State::~State() {
-  if (producer.joinable()) {
-    // Cursor abandoned mid-stream: stop the enumeration, discard whatever
-    // is buffered, and join before the pipeline's memory goes away.
-    abandoned.store(true, std::memory_order_relaxed);
-    channel->CloseConsumer();
-    producer.join();
-  }
-}
 
 /// Resolves a VALUES clause's constants to ids at plan time: dictionary ids
 /// where the term is stored, vocab interns otherwise (InternVisible reuses
@@ -426,34 +383,10 @@ void Cursor::State::Run(RowOp* root) {
   peak_buffered = st.peak_buffered;
 }
 
-void Cursor::State::StartStreaming() {
-  ran = true;
-  channel = std::make_unique<RowChannel>(
-      DeliveryBatching::For(opts.channel_capacity).slots);
-  // Streaming executions intern computed terms on the producer while the
-  // consumer resolves already-delivered rows, so the shared vocab must
-  // exist before the thread starts (LocalVocab itself synchronizes the
-  // concurrent intern/resolve).
-  if (opts.vocab)
-    local_vocab = opts.vocab;
-  else if (prepared->aggregated || prepared->computes)
-    local_vocab =
-        std::make_shared<LocalVocab>(static_cast<TermId>(solver->dict().size()));
-  producer = std::thread([this] { ProducerMain(); });
-}
-
-void Cursor::State::PublishExplainSnapshot() {
-  std::lock_guard<std::mutex> lock(explain_mu);
-  explain_snapshot.resize(pipe.ops.size());
-  for (size_t i = 0; i < pipe.ops.size(); ++i)
-    explain_snapshot[i] = {pipe.ops[i]->rows_in(), pipe.ops[i]->rows_out()};
-}
-
 template <typename Body>
 void Cursor::State::Guarded(Body&& body) {
-  // The library reports failures through Status, but neither a producer
-  // thread nor a server worker may let anything escape — an exception there
-  // would terminate the process.
+  // The library reports failures through Status, and a server worker must
+  // not let anything escape — an exception there would end the process.
   try {
     body();
   } catch (const std::exception& e) {
@@ -463,41 +396,6 @@ void Cursor::State::Guarded(Body&& body) {
     pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
                     StopCause::kProducerFailed);
   }
-}
-
-void Cursor::State::ProducerMain() {
-  pipe.state.control.abandon = &abandoned;
-  sink = pipe.Make<ChannelSink>(
-      channel.get(), DeliveryBatching::For(opts.channel_capacity).rows,
-      [this] { PublishExplainSnapshot(); }, &pipe.state);
-  Guarded([this] { RunPipeline(sink); });
-  // However the pipeline stopped — end of input, LIMIT, row budget,
-  // deadline, an exception — the rows it emitted still reach the consumer.
-  Guarded([this] { sink->Flush(); });
-  producer_done.store(true, std::memory_order_release);
-  channel->CloseProducer();
-}
-
-void Cursor::State::Settle(util::Status consumer_status, StopCause consumer_cause) {
-  if (stream_ended) return;
-  // Stop a still-running producer (it sees the abandon flag or the closed
-  // channel) and join; after the join the pipeline's members are plainly
-  // readable from this thread. On the normal end-of-stream path the
-  // producer has already finished, so the abandon store is a no-op.
-  abandoned.store(true, std::memory_order_relaxed);
-  channel->CloseConsumer();
-  if (producer.joinable()) producer.join();
-  if (!consumer_status.ok()) {
-    status = std::move(consumer_status);
-    cause = consumer_cause;
-  } else if (!pipe.state.error.ok()) {
-    status = pipe.state.error;
-    cause = pipe.state.cause;
-  }
-  before_modifiers = pipe.state.before_modifiers;
-  channel_peak = channel->peak_size();
-  peak_buffered = pipe.state.peak_buffered + channel_peak;
-  stream_ended = true;
 }
 
 void Cursor::State::RunPipeline(RowOp* root) {
@@ -518,14 +416,12 @@ void Cursor::State::RunPipeline(RowOp* root) {
   if (q.limit >= 0) limit = std::min(limit, static_cast<uint64_t>(q.limit));
   if (limit == 0) return;  // nothing to deliver: skip enumeration entirely
 
-  // Streaming pre-creates the vocab before the producer thread starts; a
-  // live-store cursor brings its own (chained to the shared term overlay).
-  if (!local_vocab) {
-    if (opts.vocab)
-      local_vocab = opts.vocab;
-    else if (p.aggregated || p.computes)
-      local_vocab = std::make_shared<LocalVocab>(static_cast<TermId>(dict.size()));
-  }
+  // A live-store cursor brings its own vocab (chained to the shared term
+  // overlay).
+  if (opts.vocab)
+    local_vocab = opts.vocab;
+  else if (p.aggregated || p.computes)
+    local_vocab = std::make_shared<LocalVocab>(static_cast<TermId>(dict.size()));
   base_eval = std::make_unique<FilterEvaluator>(dict, p.vars, local_vocab.get());
   if (p.aggregated)
     post_eval =
@@ -651,46 +547,13 @@ void Cursor::State::RunPipeline(RowOp* root) {
   }
 }
 
-bool Cursor::State::PopBatch() {
-  if (stream_ended) return false;
-  // The consumer observes its own cancel/deadline while blocked on an
-  // empty channel — the producer may be wedged deep in a pipeline breaker
-  // where no row will ever arrive to wake us. Without either abort source
-  // the wait is plain and untimed: every event that can end it (a batch
-  // arriving, the producer closing) notifies the channel's condvar.
-  EvalControl consumer;
-  consumer.cancel = opts.cancel_token;
-  consumer.deadline = opts.deadline;
-  const bool needs_probe = consumer.cancel != nullptr || consumer.has_deadline();
-  auto op = needs_probe ? channel->Pop(&delivered,
-                                       [&consumer] {
-                                         return consumer.cancelled() ||
-                                                consumer.expired();
-                                       })
-                        : channel->Pop(&delivered);
-  served = 0;
-  if (op == RowChannel::Op::kOk) return true;
-  delivered.Clear();
-  if (op == RowChannel::Op::kAborted)
-    Settle(consumer.Check(), CauseOf(consumer, StopCause::kCancelled));
-  else
-    Settle(util::Status::Ok(), StopCause::kNone);
-  return false;
-}
-
 bool Cursor::Next(Row* row) {
   if (!state_) return false;
   State& s = *state_;
-  if (!s.ran) {
-    if (s.opts.streaming)
-      s.StartStreaming();
-    else
-      s.Run(s.pipe.Make<CollectOp>(&s.delivered, &s.pipe.state));
-  }
-  // One serve path for both modes: rows are copied out of the flat batch
-  // into the caller's row, which a reused Row absorbs without allocating.
-  while (s.served >= s.delivered.size())
-    if (!s.channel || !s.PopBatch()) return false;
+  s.RunCollected();
+  // Rows are copied out of the flat batch into the caller's row, which a
+  // reused Row absorbs without allocating.
+  if (s.served >= s.delivered.size()) return false;
   s.delivered.CopyRow(s.served++, row);
   return true;
 }
@@ -735,10 +598,6 @@ uint64_t Cursor::peak_buffered_rows() const {
   return state_ ? state_->peak_buffered : 0;
 }
 
-uint64_t Cursor::peak_channel_rows() const {
-  return state_ ? state_->channel_peak : 0;
-}
-
 StopCause Cursor::stop_cause() const {
   return state_ ? state_->cause : StopCause::kNone;
 }
@@ -750,30 +609,7 @@ std::shared_ptr<const LocalVocab> Cursor::local_vocab() const {
 std::string Cursor::Explain() {
   if (!state_) return "(no query)\n";
   State& s = *state_;
-  if (!s.ran) {
-    if (s.opts.streaming)
-      s.StartStreaming();
-    else
-      s.Run(s.pipe.Make<CollectOp>(&s.delivered, &s.pipe.state));
-  }
-  // A still-running streaming producer is mutating the per-operator counts,
-  // so never render the live tree mid-stream. Instead render the snapshot
-  // the producer publishes at every delivery boundary: a mutually consistent
-  // copy of all counters taken just before a batch was handed to the channel.
-  // producer_done is a release store after the pipeline's last write, so
-  // once observed the live tree is stable even before Settle runs.
-  if (s.channel && !s.producer_done.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(s.explain_mu);
-    if (s.explain_snapshot.empty())
-      return "(streaming execution in progress; no rows delivered yet)\n";
-    // A non-empty snapshot was published under explain_mu after the tree
-    // was fully built, so walking the structure here is race-free.
-    ExplainCounts counts;
-    for (size_t i = 0; i < s.pipe.ops.size() && i < s.explain_snapshot.size(); ++i)
-      counts[s.pipe.ops[i].get()] = s.explain_snapshot[i];
-    return "(streaming snapshot at last delivered batch; counts still advancing)\n" +
-           ExplainChain(s.pipe.head, &counts);
-  }
+  s.RunCollected();
   if (!s.pipe.head) return "(not executed: empty LIMIT or pre-run stop)\n";
   return ExplainChain(s.pipe.head);
 }
@@ -786,6 +622,26 @@ Cursor OpenCursor(const BgpSolver& solver, const PreparedQuery& prepared,
   cursor.state_->prepared = prepared.impl_;
   cursor.state_->opts = opts;
   return cursor;
+}
+
+util::Result<ResultSet> Materialize(const BgpSolver& solver, const SelectQuery& q) {
+  auto prepared = PrepareSelect(q);
+  if (!prepared.ok()) return prepared.status();
+  Cursor cursor = OpenCursor(solver, prepared.value());
+  ResultSet rs;
+  rs.var_names = prepared.value().var_names();
+  Row row;
+  while (cursor.Next(&row)) rs.rows.push_back(row);
+  if (!cursor.status().ok()) return cursor.status();
+  rs.total_before_modifiers = cursor.rows_before_modifiers();
+  rs.local_vocab = cursor.local_vocab();
+  return rs;
+}
+
+util::Result<ResultSet> Materialize(const BgpSolver& solver, const std::string& text) {
+  auto q = ParseQuery(text);
+  if (!q.ok()) return q.status();
+  return Materialize(solver, q.value());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,35 +1,39 @@
-// The streaming query API: the top-level facade a service front-end drives.
+// The query API: the top-level facade a service front-end drives.
 //
 //   QueryEngine engine(std::move(dataset));            // owns data + solver
 //   auto prepared = engine.Prepare(text);              // parse + plan once
-//   auto cursor = engine.Open(prepared.value(), opts); // execute
-//   Row row;
-//   while (cursor.value().Next(&row)) { ... }          // stream rows
+//   auto cursor = engine.Open(prepared.value(), opts); // bind the options
+//   cursor.value().Run(sink);                          // push rows, or
+//   while (cursor.value().Next(&row)) { ... }          // read them back
 //
 // The layer below is a composable physical operator tree (sparql/
-// operators.hpp): Prepare plans the query once, Open instantiates the
+// operators.hpp): Prepare plans the query once, and a run instantiates the
 // operator chain — BgpSource / UnionOp / OptionalOp / FilterOp / GuardOp /
 // GroupAggregateOp / ProjectOp / DistinctOp / OrderByOp / TopKOp / SliceOp
-// — and the Cursor drains its root. Rows flow through the operators one at
-// a time with a kStop backchannel that unwinds all the way into the TurboHOM++ Matcher's
-// SubgraphSearch (sequential and parallel), so a LIMIT-k query without
-// ORDER BY enumerates only as much of the solution space as k rows require
-// — the paper's "answer within the budget" behaviour rather than
-// materialize-then-truncate. ORDER BY and GROUP BY are the pipeline
-// breakers: ORDER BY + LIMIT keeps a bounded top-k heap (also composed
-// behind DISTINCT when the sort keys are projected), and aggregation
-// (GROUP BY / COUNT / SUM / MIN / MAX / AVG / HAVING) hash-groups before
-// the solution modifiers, materializing computed values in a per-execution
-// LocalVocab.
+// — and pushes the seed row through it on the calling thread. Rows flow
+// through the operators one at a time with a kStop backchannel that unwinds
+// all the way into the TurboHOM++ Matcher's SubgraphSearch (sequential and
+// parallel), so a LIMIT-k query without ORDER BY enumerates only as much of
+// the solution space as k rows require — the paper's "answer within the
+// budget" behaviour rather than materialize-then-truncate. ORDER BY and
+// GROUP BY are the pipeline breakers: ORDER BY + LIMIT keeps a bounded
+// top-k heap (also composed behind DISTINCT when the sort keys are
+// projected), and aggregation (GROUP BY / COUNT / SUM / MIN / MAX / AVG /
+// HAVING) hash-groups before the solution modifiers, materializing computed
+// values in a per-execution LocalVocab.
+//
+// A plan has one execution path with two surfaces over it: Cursor::Run
+// pushes each row into the caller's sink as the search finds it (what the
+// HTTP endpoint and `sparql_shell` use; memory stays constant without a
+// sort or group stage), and Cursor::Next runs the plan once into a row
+// batch and serves rows from it. Materialize() drains Next into a
+// ResultSet for callers that want the whole answer at once.
 //
 // ExecOptions adds the service-side controls on top of the query's own
 // modifiers: a delivered-row cap (limit_budget), a pre-modifier work budget
 // (row_budget), a deadline, and a cooperative cancel token. Cancel/deadline
 // reach the enumeration loops themselves (MatchOptions::cancel/deadline), so
 // even zero-solution searches terminate promptly and cleanly.
-//
-// `sparql::Executor` remains as a thin compatibility wrapper that drains a
-// cursor into the materialized ResultSet.
 #pragma once
 
 #include <atomic>
@@ -77,19 +81,10 @@ struct ExecOptions {
   /// Cooperative cancel token owned by the caller; set it from any thread to
   /// stop execution with status "query cancelled".
   const std::atomic<bool>* cancel_token = nullptr;
-  /// Run the operator pipeline on a producer thread that hands rows to the
-  /// consumer through a bounded channel: Next() returns as soon as one row
-  /// exists, the execution holds at most `channel_capacity` delivered rows
-  /// in flight (plus any sort/group operator buffers), and destroying the
-  /// cursor tears the enumeration down. When false (the default) the cursor
-  /// materializes the delivered set on first use, exactly as before.
+  /// Ignored: every run happens on the calling thread, and Cursor::Run is
+  /// the streaming surface. The field stays only because the end-to-end
+  /// benchmark's reference replay still sets it, and goes with that line.
   bool streaming = false;
-  /// Delivery-channel capacity for streaming mode, in rows (clamped to
-  /// >= 1); a full channel blocks the producer (backpressure). Rows cross
-  /// the channel in batches derived from it (sparql::DeliveryBatching: the
-  /// first row alone, then max(1, capacity/4)-row batches), sized so the
-  /// channel never queues more than `channel_capacity` rows.
-  uint32_t channel_capacity = 64;
   /// Pre-built per-execution vocab (computed/overlay terms). The live store
   /// passes a vocab chained to its shared term overlay so row cells carrying
   /// update-introduced ids resolve, and VALUES/BIND constants join against
@@ -130,24 +125,15 @@ class PreparedQuery {
 /// QueryEngine::Prepare.
 util::Result<PreparedQuery> PrepareSelect(SelectQuery q);
 
-/// A result handle. Next() delivers projected rows in the same
-/// order Executor::Execute would return them, or Run() pushes them into a
-/// caller's sink; status() reports how the
-/// stream ended (Ok for completion, LIMIT, or budget-satisfied stops; an
-/// error for cancellation / deadline / row-budget violations or a
-/// producer-side failure — any rows already delivered remain valid), and
-/// stop_cause() classifies the stop machine-readably.
-///
-/// In materialized mode (the default) the cursor runs the row pipeline on
-/// first use and retains only the rows the modifiers let through (bounded
-/// by LIMIT/limit_budget when present). With ExecOptions::streaming the
-/// pipeline runs on a producer thread feeding a bounded channel; Next()
-/// pops at the consumer's pace, and teardown is clean: the destructor
-/// signals the producer, drains the channel, and joins the thread, so
-/// abandoning a cursor mid-stream terminates the subgraph search itself.
-/// Run() needs neither: the pipeline runs on the calling thread with the
-/// sink as its root, so a slow sink is the backpressure.
-/// The cursor must not outlive the solver/engine it was opened on.
+/// A result handle over one execution of a prepared plan. Run() pushes the
+/// delivered rows into a caller's sink on the calling thread; Next() runs
+/// the plan into a row batch on first call and then returns its rows in
+/// the same order. status() reports how the run ended (Ok for completion,
+/// LIMIT, or budget-satisfied stops; an error for cancellation / deadline /
+/// row-budget violations or a solver-side failure — any rows already
+/// delivered remain valid), and stop_cause() classifies the stop
+/// machine-readably. The cursor must not outlive the solver/engine it was
+/// opened on.
 class Cursor {
  public:
   Cursor() = default;
@@ -159,54 +145,42 @@ class Cursor {
   /// deadline or cancel has fired by then, which makes it a kDeadline /
   /// kCancelled stop (a sink that waited out the deadline on a slow
   /// consumer). local_vocab() is readable from inside the sink. Use either
-  /// Run() or Next() on one cursor, not both; ExecOptions::streaming is
-  /// ignored.
+  /// Run() or Next() on one cursor, not both.
   void Run(const RowSink& sink);
 
-  /// Advances to the next row. Returns false at end-of-stream (check
-  /// status() to distinguish completion from an error). In streaming mode
-  /// this blocks until a row is available, the stream ends, or the caller's
-  /// cancel/deadline fires (the waits are timeout-aware on both channel
-  /// ends).
+  /// Advances to the next row. The first call runs the whole plan and
+  /// keeps the delivered rows (bounded by LIMIT/limit_budget when present).
+  /// Returns false at end-of-stream; check status() to distinguish
+  /// completion from an error.
   bool Next(Row* row);
 
-  /// How the stream ended so far; Ok while rows are still flowing.
-  /// Producer-side errors (solver failures, exceptions on the producer
-  /// thread) surface here with their original message once Next() has
-  /// returned false.
+  /// How the run ended; Ok before it has run. Solver failures and
+  /// exceptions surface here with their original message.
   const util::Status& status() const;
 
-  /// Why the stream stopped: kNone while flowing or after a clean end
-  /// (LIMIT counts as clean), kRowBudget / kCancelled / kDeadline for the
-  /// caller-imposed stops, kAbandoned after mid-stream teardown, and
-  /// kProducerFailed when the producer side failed on its own — the
-  /// distinction status() strings alone could not carry.
+  /// Why the run stopped: kNone before it ran or after a clean end (LIMIT
+  /// counts as clean), kRowBudget / kCancelled / kDeadline for the
+  /// caller-imposed stops, and kProducerFailed when the solver or pipeline
+  /// failed on its own — the distinction status() strings alone could not
+  /// carry.
   StopCause stop_cause() const;
 
   /// Projected variable names (row columns), in SELECT order.
   const std::vector<std::string>& var_names() const;
 
-  /// Rows that entered the solution-modifier stage before the stream
-  /// stopped; with an early LIMIT stop this is what the pushdown saved work
-  /// on (compare with ResultSet::total_before_modifiers of a full run).
+  /// Rows that entered the solution-modifier stage before the run stopped;
+  /// with an early LIMIT stop this is what the pushdown saved work on
+  /// (compare with ResultSet::total_before_modifiers of a full run).
   uint64_t rows_before_modifiers() const;
 
-  /// High-water mark of rows the cursor held at once for delivery ordering
-  /// (sort/heap/collect buffers plus, in streaming mode, the delivery
-  /// channel; dedup memos and the group hash table are working state, not
-  /// delivery buffers). For ORDER BY + LIMIT k this is bounded by k +
-  /// OFFSET — the top-k heap, which since the operator refactor also
-  /// composes behind DISTINCT whenever every sort key is projected — while
-  /// rows_before_modifiers still reports the full enumeration. A streaming
-  /// cursor with no sort/group stage is bounded by channel_capacity
-  /// regardless of result size. Settles at end-of-stream (streaming
-  /// counters read 0 until the stream ends).
+  /// High-water mark of rows the execution held at once for delivery
+  /// ordering (sort/heap buffers, and Next()'s row batch; dedup memos and
+  /// the group hash table are working state, not delivery buffers). For
+  /// ORDER BY + LIMIT k this is bounded by k + OFFSET — the top-k heap,
+  /// which also composes behind DISTINCT whenever every sort key is
+  /// projected — while rows_before_modifiers still reports the full
+  /// enumeration. A Run() with no sort stage holds no row: 0.
   uint64_t peak_buffered_rows() const;
-
-  /// The delivery channel's own high-water mark (streaming mode; 0 in
-  /// materialized mode), already included in peak_buffered_rows(). Settles
-  /// at end-of-stream.
-  uint64_t peak_channel_rows() const;
 
   /// Terms computed by this execution (aggregate results); row cells with
   /// ids at or above dict.size() resolve here. Null when the query computes
@@ -214,13 +188,8 @@ class Cursor {
   std::shared_ptr<const LocalVocab> local_vocab() const;
 
   /// The executed operator tree with per-operator row counts, one line per
-  /// operator (the `sparql_shell --explain` output). Runs the query first
-  /// if it has not run yet. While a streaming producer is still running,
-  /// this renders the stable snapshot the producer publishes at every
-  /// delivery boundary — a mutually consistent copy of all counters as of
-  /// the last batch handed to the delivery channel (prefixed with a note
-  /// that counts are still advancing) — and the final counts once the
-  /// stream ends or the producer has finished.
+  /// operator (the `sparql_shell --explain` output). Runs the query first,
+  /// as Next() does, if it has not run yet.
   std::string Explain();
 
  private:
@@ -232,12 +201,34 @@ class Cursor {
 };
 
 /// Opens a cursor over a bare solver — the building block QueryEngine::Open
-/// and the Executor compatibility wrapper share. The solver must outlive the
-/// cursor.
+/// and Materialize share. The solver must outlive the cursor.
 Cursor OpenCursor(const BgpSolver& solver, const PreparedQuery& prepared,
                   const ExecOptions& opts = {});
 
-/// Renders one streamed row as a human-readable line (terms in N-Triples
+/// A query's whole answer at once.
+struct ResultSet {
+  std::vector<std::string> var_names;      ///< projected variable names
+  std::vector<std::vector<TermId>> rows;   ///< kInvalidId = unbound (OPTIONAL)
+  /// Rows that reached the solution-modifier stage. Equal to the pre-LIMIT
+  /// row count when the pipeline ran to completion; smaller when LIMIT
+  /// pushdown stopped the enumeration early (that is the point).
+  uint64_t total_before_modifiers = 0;
+  /// Computed terms (aggregate results) of this execution; cells with ids
+  /// at or above dict.size() resolve here. Null for pattern-only queries.
+  std::shared_ptr<const LocalVocab> local_vocab;
+
+  size_t size() const { return rows.size(); }
+};
+
+/// Plans and runs a query over `solver` with default ExecOptions and keeps
+/// every delivered row — a drained Next(), for callers (tests, benches,
+/// examples) that want the answer as a value. An error status means the
+/// query did not parse, plan or run to completion.
+util::Result<ResultSet> Materialize(const BgpSolver& solver, const SelectQuery& q);
+/// Parses `text`, then as above.
+util::Result<ResultSet> Materialize(const BgpSolver& solver, const std::string& text);
+
+/// Renders one row as a human-readable line (terms in N-Triples
 /// form); `var_names` comes from the cursor or prepared query. Pass the
 /// cursor's local_vocab() to resolve computed (aggregate) values.
 std::string FormatRow(const std::vector<std::string>& var_names, const Row& row,
@@ -251,10 +242,9 @@ std::string FormatRow(const std::vector<std::string>& var_names, const Row& row,
 /// may serve any number of threads concurrently. Prepare() and Open() are
 /// const and touch only immutable or internally synchronized state; a
 /// PreparedQuery is immutable after Prepare and shareable across threads;
-/// each Cursor is single-consumer but any number of cursors (materialized,
-/// streaming, or abandoned mid-stream) may be in flight over the same
-/// engine at once — the solvers' shared mutable state (the RegionArena
-/// pool, the cumulative MatchStats) is mutex-protected.
+/// each Cursor belongs to one thread at a time, but any number of cursors
+/// may run over the same engine at once — the solvers' shared mutable state
+/// (the RegionArena pool, the cumulative MatchStats) is mutex-protected.
 class QueryEngine {
  public:
   enum class SolverKind : uint8_t {

@@ -34,9 +34,8 @@ namespace turbo::sparql {
 /// unbound).
 using Row = std::vector<TermId>;
 
-/// `size()` rows of `width()` TermIds stored flat — the unit of delivery
-/// between the root operator and the Cursor (the streaming channel carries
-/// these, and a materialized cursor collects into one). The row count is
+/// `size()` rows of `width()` TermIds stored flat — what a materialized
+/// cursor collects into (and the server's spill channel carries). The row count is
 /// kept explicitly, so zero-width rows (SELECT * over a ground pattern)
 /// still count. Operators keep passing `const Row&`.
 class RowBatch {
@@ -116,24 +115,16 @@ using RowSink = std::function<EmitResult(const Row&)>;
 struct EvalControl {
   const std::atomic<bool>* cancel = nullptr;          ///< cooperative cancel token
   std::chrono::steady_clock::time_point deadline{};   ///< epoch default = none
-  /// Consumer-detached signal: set when the streaming Cursor driving this
-  /// evaluation is torn down mid-stream. Kept distinct from `cancel` so
-  /// status reporting can tell an abandoned cursor from a user cancel.
-  const std::atomic<bool>* abandon = nullptr;
 
   bool has_deadline() const { return deadline.time_since_epoch().count() != 0; }
   bool cancelled() const {
     return cancel && cancel->load(std::memory_order_relaxed);
-  }
-  bool abandoned() const {
-    return abandon && abandon->load(std::memory_order_relaxed);
   }
   bool expired() const {
     return has_deadline() && std::chrono::steady_clock::now() >= deadline;
   }
   /// Ok, or the error a solver must return when a signal has fired.
   util::Status Check() const {
-    if (abandoned()) return util::Status::Error("cursor abandoned");
     if (cancelled()) return util::Status::Error("query cancelled");
     if (expired()) return util::Status::Error("deadline exceeded");
     return util::Status::Ok();
@@ -148,7 +139,6 @@ enum class StopCause : uint8_t {
   kRowBudget,       ///< ExecOptions::row_budget tripped
   kCancelled,       ///< caller's cancel token fired
   kDeadline,        ///< caller's deadline expired
-  kAbandoned,       ///< streaming cursor destroyed mid-stream
   kProducerFailed,  ///< solver/pipeline raised an error of its own
 };
 
@@ -160,7 +150,6 @@ inline const char* ToString(StopCause cause) {
     case StopCause::kRowBudget: return "row budget";
     case StopCause::kCancelled: return "cancelled";
     case StopCause::kDeadline: return "deadline";
-    case StopCause::kAbandoned: return "abandoned";
     case StopCause::kProducerFailed: return "producer failed";
   }
   return "unknown";
@@ -169,7 +158,6 @@ inline const char* ToString(StopCause cause) {
 /// Maps a tripped EvalControl to its cause; `fallback` is used when no
 /// control signal fired (i.e. the producer itself failed).
 inline StopCause CauseOf(const EvalControl& control, StopCause fallback) {
-  if (control.abandoned()) return StopCause::kAbandoned;
   if (control.cancelled()) return StopCause::kCancelled;
   if (control.expired()) return StopCause::kDeadline;
   return fallback;

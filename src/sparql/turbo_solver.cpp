@@ -391,7 +391,6 @@ util::Status TurboBgpSolver::EvaluateOne(const std::vector<TriplePattern>& bgp,
   engine::MatchOptions mopts = options_;
   mopts.cancel = control.cancel;
   mopts.deadline = control.deadline;
-  mopts.abandon = control.abandon;
 
   // ---- Row assembly: resolve pending type-variable and predicate-variable
   // bindings, then run the schema join and emit. A kStop propagates back to
@@ -536,7 +535,6 @@ util::Status TurboBgpSolver::CountSolutions(const std::vector<TriplePattern>& bg
   engine::MatchOptions mopts = options_;
   mopts.cancel = control.cancel;
   mopts.deadline = control.deadline;
-  mopts.abandon = control.abandon;
   engine::Matcher matcher(g_, mopts, &arena_pool_);
   engine::MatchStats stats;
   uint64_t n = matcher.Count(c.q, &stats);

@@ -1,37 +1,31 @@
-// Bounded MPSC channel for producer/consumer delivery.
+// Bounded MPSC channel: the handoff from an HTTP serving worker to its
+// spill writer (server/sparql_server.cpp). Once a response outgrows its
+// first chunk, the worker's sink pushes row batches here while the search
+// goes on, and the writer thread pops, encodes and sends them; the
+// capacity, counted in items, bounds what a spilled response holds in
+// flight.
 //
-// The streaming cursor runs the operator pipeline on a producer thread and
-// pops delivered rows at the consumer's pace; this channel is the handoff.
-// Its items are row batches (sparql::RowBatch), not single rows: one lock
-// and one wakeup move a whole batch, and the channel's capacity counts
-// batch slots. A `Weight` functor says how many units an item holds (rows,
-// for a batch); peak_size() reports the high-water mark in those units, so
-// peak accounting stays in rows while the handoff runs in batches.
-//
-// Both ends block on condition variables. A caller that has an abort source
+// Both ends block on condition variables. A producer with an abort source
 // the channel cannot see (a cancel token or a deadline — nothing ever
-// notifies the condvar for those) passes an abort predicate, and the wait is
-// sliced so the predicate is polled even while the producer is parked on a
-// full channel or the consumer on an empty one. A caller with no such
-// source uses the predicate-free overloads, which block in a plain
-// untimed wait: every event that can end the wait (an item arriving, either
-// end closing) notifies the condvar, so timed polling would be pure wasted
-// wakeups. timed_wait_slices() counts the sliced waits so tests can assert
-// the abort-free path never spuriously wakes. Before it blocks, Pop spins
-// for a few microseconds on a lock-free "item ready" flag: a producer in
-// mid-batch usually delivers sooner than a park/wake round trip completes.
+// notifies the condvar for those) passes an abort predicate to Push, and
+// the wait is sliced so the predicate is polled while it is parked on a
+// full channel. Without such a source it uses the predicate-free Push,
+// which blocks in a plain untimed wait: every event that can end the wait
+// (space freed by Pop, the consumer closing) notifies the condvar, so timed
+// polling would be pure wasted wakeups. timed_wait_slices() counts the
+// sliced waits so tests can assert the abort-free path never spuriously
+// wakes. Before it blocks, Pop spins for a few microseconds on a lock-free
+// "item ready" flag: a producer in mid-batch usually delivers sooner than
+// a park/wake round trip completes.
 //
 // Protocol:
 //   - producer: Push(...) until done or aborted, then CloseProducer().
 //   - consumer: Pop(...) until kClosed, or CloseConsumer() to walk away —
 //     that drops any buffered items and turns every subsequent Push into
-//     kClosed, which the pipeline treats like a LIMIT-style kStop.
-//     CloseConsumer also wakes a producer blocked in an untimed Push, which
-//     is why cursor abandonment needs no timed probe.
+//     kClosed (the writer does this when a socket write fails). It also
+//     wakes a producer blocked in an untimed Push.
 //
-// Multiple producers are safe (parallel solver workers each reach the
-// ChannelSink under the engine's delivery mutex today, but the channel does
-// not rely on that); there must be at most one consumer.
+// Multiple producers are safe; there must be at most one consumer.
 #pragma once
 
 #include <atomic>
@@ -45,15 +39,7 @@
 
 namespace turbo::util {
 
-/// Default item weight: every item is one unit.
-struct UnitWeight {
-  template <typename T>
-  size_t operator()(const T&) const {
-    return 1;
-  }
-};
-
-template <typename T, typename Weight = UnitWeight>
+template <typename T>
 class Channel {
  public:
   enum class Op : uint8_t {
@@ -95,25 +81,9 @@ class Channel {
     return Op::kOk;
   }
 
-  /// Blocks while the channel is empty and the producer side is still open.
-  /// kClosed means end-of-stream: every pushed item has been popped.
-  template <typename AbortFn>
-  Op Pop(T* out, AbortFn&& abort) {
-    SpinForItem();
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      if (!items_.empty()) break;
-      if (producer_closed_) return Op::kClosed;
-      if (abort()) return Op::kAborted;
-      ++timed_wait_slices_;
-      not_empty_.wait_for(lock, kWaitSlice);
-    }
-    DoPop(out, &lock);
-    return Op::kOk;
-  }
-
-  /// Abort-free pop: blocks untimed until an item arrives or the producer
-  /// closes — both producer events notify, so no timed polling is needed.
+  /// Blocks until an item arrives or the producer closes — both producer
+  /// events notify, so no timed polling is needed. kClosed means
+  /// end-of-stream: every pushed item has been popped.
   Op Pop(T* out) {
     SpinForItem();
     std::unique_lock<std::mutex> lock(mu_);
@@ -134,41 +104,26 @@ class Channel {
   }
 
   /// Consumer walks away: buffered items are dropped and blocked producers
-  /// wake with kClosed. Pairs with the cursor's teardown path.
+  /// wake with kClosed.
   void CloseConsumer() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       consumer_closed_ = true;
       items_.clear();
-      weight_ = 0;
     }
     not_full_.notify_all();
   }
 
-  size_t capacity() const { return cap_; }
-
-  /// High-water mark of the buffered weight (items under UnitWeight, rows
-  /// for row batches), for peak_buffered_rows() accounting.
-  uint64_t peak_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return peak_;
-  }
-
   /// Number of sliced (timed) waits taken so far. Zero on the abort-free
-  /// Push/Pop overloads by construction — the busy-wakeup regression guard.
+  /// Push and on Pop by construction — the busy-wakeup regression guard.
   uint64_t timed_wait_slices() const {
     std::lock_guard<std::mutex> lock(mu_);
     return timed_wait_slices_;
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
  private:
-  // Short enough that deadlines are observed promptly, long enough that an
-  // idle blocked end costs nothing measurable.
+  // Short enough that deadlines are observed promptly, long enough that a
+  // parked producer costs nothing measurable.
   static constexpr std::chrono::milliseconds kWaitSlice{2};
   // A producer mid-batch usually delivers within a few microseconds — less
   // than parking and waking a thread costs — so Pop polls `poppable_` this
@@ -195,8 +150,6 @@ class Channel {
   }
 
   void DoPush(T item, std::unique_lock<std::mutex>* lock) {
-    weight_ += Weight{}(item);
-    if (weight_ > peak_) peak_ = weight_;
     items_.push_back(std::move(item));
     poppable_.store(true, std::memory_order_release);
     lock->unlock();
@@ -204,7 +157,6 @@ class Channel {
   }
 
   void DoPop(T* out, std::unique_lock<std::mutex>* lock) {
-    weight_ -= Weight{}(items_.front());
     *out = std::move(items_.front());
     items_.pop_front();
     poppable_.store(!items_.empty() || producer_closed_, std::memory_order_release);
@@ -217,8 +169,6 @@ class Channel {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
-  uint64_t weight_ = 0;  ///< summed Weight of `items_`
-  uint64_t peak_ = 0;
   uint64_t timed_wait_slices_ = 0;
   /// Lock-free mirror of "Pop would not block" for the spin; written under mu_.
   std::atomic<bool> poppable_{false};

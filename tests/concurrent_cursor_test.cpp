@@ -1,6 +1,6 @@
 // Concurrent-cursor torture: many threads hammer ONE shared QueryEngine
-// with mixed materialized / streaming / abandoned-mid-stream cursors, across
-// all four solver kinds. This is the enforced form of the engine's
+// with mixed materialized / push / push-stopped-early cursors, across all
+// four solver kinds. This is the enforced form of the engine's
 // thread-safety contract (query_engine.hpp): Prepare/Open are const, a
 // PreparedQuery is shareable, and any number of cursors may be in flight at
 // once — the solvers' shared mutable state (cumulative MatchStats, the
@@ -8,12 +8,13 @@
 // a data race here is a contract violation, not flakiness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "workload/lubm.hpp"
@@ -53,6 +54,18 @@ std::vector<Row> Drain(Cursor& cursor) {
   return rows;
 }
 
+/// Push-runs the cursor's plan, keeping at most `take` rows: the sink stops
+/// the run once it has them.
+std::vector<Row> Push(Cursor& cursor, size_t take = SIZE_MAX) {
+  std::vector<Row> rows;
+  if (take == 0) return rows;
+  cursor.Run([&](const Row& row) {
+    rows.push_back(row);
+    return rows.size() < take ? EmitResult::kContinue : EmitResult::kStop;
+  });
+  return rows;
+}
+
 class ConcurrentCursors : public ::testing::TestWithParam<QueryEngine::SolverKind> {
  protected:
   static QueryEngine MakeEngine(QueryEngine::SolverKind kind) {
@@ -88,30 +101,25 @@ TEST_P(ConcurrentCursors, MixedCursorKindsKeepParityUnderContention) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         size_t qi = static_cast<size_t>(t + i) % prepared.size();
-        ExecOptions opts;
         int mode = (t + 7 * i) % 3;
-        if (mode != 0) {
-          opts.streaming = true;
-          opts.channel_capacity = 1 + static_cast<uint32_t>(i % 4);
-        }
-        auto cursor = engine.Open(prepared[qi], opts);
+        auto cursor = engine.Open(prepared[qi]);
         if (!cursor.ok()) {
           failures.fetch_add(1);
           continue;
         }
         if (mode == 2) {
-          // Abandon mid-stream: take a prefix, then drop the cursor while
-          // the producer is still live — teardown must join cleanly.
-          Row row;
+          // Stopped early: the sink takes a prefix and ends the search,
+          // which must end cleanly with exactly that prefix.
           size_t take = 1 + static_cast<size_t>(i) % 5;
-          std::vector<Row> prefix;
-          while (prefix.size() < take && cursor.value().Next(&row))
-            prefix.push_back(row);
-          for (size_t r = 0; r < prefix.size(); ++r)
-            if (prefix[r] != expected[qi][r]) failures.fetch_add(1);
-          continue;  // cursor destructor = the abandonment under test
+          std::vector<Row> prefix = Push(cursor.value(), take);
+          const std::vector<Row>& all = expected[qi];
+          if (!cursor.value().status().ok() ||
+              prefix.size() != std::min(take, all.size()) ||
+              !std::equal(prefix.begin(), prefix.end(), all.begin()))
+            failures.fetch_add(1);
+          continue;
         }
-        std::vector<Row> rows = Drain(cursor.value());
+        std::vector<Row> rows = mode == 0 ? Drain(cursor.value()) : Push(cursor.value());
         if (!cursor.value().status().ok() || rows != expected[qi])
           failures.fetch_add(1);
       }
@@ -137,48 +145,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
-// ---------------------------------------------------------------------------
-// 64 cursors in flight at once over one engine (the acceptance floor).
-// ---------------------------------------------------------------------------
-
-TEST(ConcurrentCursorScale, SixtyFourStreamingCursorsInFlightWithParity) {
-  QueryEngine engine(ChainData(64));
-  const char* q = kQueries[1];
-  auto plan = engine.Prepare(q);
-  ASSERT_TRUE(plan.ok());
-  auto ref = engine.Open(plan.value());
-  ASSERT_TRUE(ref.ok());
-  std::vector<Row> expected = Drain(ref.value());
-  ASSERT_GT(expected.size(), 32u);
-
-  // Open all 64 before advancing any: every producer thread is live at
-  // once, parked on its capacity-1 channel. Then drain round-robin so the
-  // cursors stay interleaved (peak concurrency for the whole drain).
-  constexpr int kCursors = 64;
-  std::vector<Cursor> cursors;
-  cursors.reserve(kCursors);
-  for (int i = 0; i < kCursors; ++i) {
-    ExecOptions opts;
-    opts.streaming = true;
-    opts.channel_capacity = 1;
-    auto cursor = engine.Open(plan.value(), opts);
-    ASSERT_TRUE(cursor.ok()) << "cursor " << i;
-    cursors.push_back(std::move(cursor.value()));
-  }
-  std::vector<std::vector<Row>> got(kCursors);
-  Row row;
-  for (size_t r = 0; r < expected.size(); ++r)
-    for (int i = 0; i < kCursors; ++i) {
-      ASSERT_TRUE(cursors[i].Next(&row)) << "cursor " << i << " row " << r;
-      got[i].push_back(row);
-    }
-  for (int i = 0; i < kCursors; ++i) {
-    EXPECT_FALSE(cursors[i].Next(&row)) << "cursor " << i;
-    EXPECT_TRUE(cursors[i].status().ok()) << cursors[i].status().message();
-    EXPECT_EQ(got[i], expected) << "cursor " << i;
-  }
-}
-
 // Shared-stats audit: concurrent Evaluate calls merge into the solver's
 // cumulative MatchStats under a lock; totals must equal the serial sum.
 TEST(ConcurrentCursorScale, StatsMergeIsCoherentUnderConcurrency) {
@@ -202,12 +168,9 @@ TEST(ConcurrentCursorScale, StatsMergeIsCoherentUnderConcurrency) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      ExecOptions opts;
-      opts.streaming = true;
-      opts.channel_capacity = 2;
-      auto cursor = engine.Open(plan.value(), opts);
+      auto cursor = engine.Open(plan.value());
       ASSERT_TRUE(cursor.ok());
-      Drain(cursor.value());
+      Push(cursor.value());
     });
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(solver->last_stats().num_solutions, serial_solutions * kThreads);

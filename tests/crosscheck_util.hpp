@@ -16,7 +16,7 @@
 //     by the exhaustive all-toggle matrix;
 //   * MakeExecutorFuzzCase — the nightly-scale tier: 100-500 entity graphs
 //     and full SELECT queries with OPTIONAL / FILTER / UNION, evaluated
-//     through the sparql::Executor so the solver integration (bound-row
+//     through sparql::Materialize so the solver integration (bound-row
 //     re-entry, filter pushdown, left-join extension) is differentially
 //     tested too. Iteration count is scaled by $TURBO_FUZZ_ITERS.
 #pragma once
@@ -37,7 +37,6 @@
 #include "rdf/triple.hpp"
 #include "rdf/vocabulary.hpp"
 #include "sparql/ast.hpp"
-#include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
 #include "sparql/solver.hpp"
 #include "sparql/typed_value.hpp"
@@ -504,11 +503,11 @@ inline ExecutorFuzzCase MakeExecutorFuzzCase(uint64_t seed) {
   return c;
 }
 
-/// Runs `q` through the executor on `solver` and returns the sorted rows.
-inline std::vector<Row> RunExecutor(const sparql::BgpSolver& solver,
-                                    const sparql::SelectQuery& q) {
-  sparql::Executor ex(&solver);
-  auto r = ex.Execute(q);
+/// Runs `q` through sparql::Materialize on `solver` and returns the sorted
+/// rows — the oracle side of the fuzz tiers.
+inline std::vector<Row> RunMaterialized(const sparql::BgpSolver& solver,
+                                        const sparql::SelectQuery& q) {
+  auto r = sparql::Materialize(solver, q);
   EXPECT_TRUE(r.ok()) << r.message();
   if (!r.ok()) return {};
   std::vector<Row> rows = std::move(r.value().rows);
@@ -516,26 +515,22 @@ inline std::vector<Row> RunExecutor(const sparql::BgpSolver& solver,
   return rows;
 }
 
-/// Drains the streaming-cursor delivery path (producer thread + bounded
-/// channel) over the same query and returns the sorted row bag — the
-/// differential twin of RunExecutor for streaming mode. Tight capacities
-/// (1, 2) keep the producer blocked on backpressure for most of the run,
-/// which is exactly the window where delivery bugs hide.
-inline std::vector<Row> RunStreamingCursor(const sparql::BgpSolver& solver,
-                                           const sparql::SelectQuery& q,
-                                           uint32_t channel_capacity) {
+/// Runs the same query as a push run (Cursor::Run) and returns the sorted
+/// row bag — the differential twin of RunMaterialized. The fuzz queries
+/// have no ORDER BY, so the run must hold no row at all.
+inline std::vector<Row> RunPushed(const sparql::BgpSolver& solver,
+                                  const sparql::SelectQuery& q) {
   auto prepared = sparql::PrepareSelect(q);
   EXPECT_TRUE(prepared.ok()) << prepared.message();
   if (!prepared.ok()) return {};
-  sparql::ExecOptions opts;
-  opts.streaming = true;
-  opts.channel_capacity = channel_capacity;
-  sparql::Cursor cursor = sparql::OpenCursor(solver, prepared.value(), opts);
+  sparql::Cursor cursor = sparql::OpenCursor(solver, prepared.value());
   std::vector<Row> rows;
-  Row row;
-  while (cursor.Next(&row)) rows.push_back(row);
+  cursor.Run([&](const Row& row) {
+    rows.push_back(row);
+    return sparql::EmitResult::kContinue;
+  });
   EXPECT_TRUE(cursor.status().ok()) << cursor.status().message();
-  EXPECT_LE(cursor.peak_channel_rows(), std::max(channel_capacity, 1u));
+  EXPECT_EQ(cursor.peak_buffered_rows(), 0u);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -780,8 +775,7 @@ inline std::vector<RenderedRow> ReferenceAggregate(const AggregateFuzzCase& c,
 /// comparison with ReferenceAggregate (sorted multiset).
 inline std::vector<RenderedRow> RunAggregated(const sparql::BgpSolver& solver,
                                               const sparql::SelectQuery& q) {
-  sparql::Executor ex(&solver);
-  auto r = ex.Execute(q);
+  auto r = sparql::Materialize(solver, q);
   EXPECT_TRUE(r.ok()) << r.message();
   if (!r.ok()) return {};
   const sparql::ResultSet& rs = r.value();
@@ -799,22 +793,17 @@ inline std::vector<RenderedRow> RunAggregated(const sparql::BgpSolver& solver,
   return out;
 }
 
-/// Streaming twin of RunAggregated: drains a streaming cursor and resolves
-/// aggregate values through the cursor's shared LocalVocab while the
-/// producer thread may still be interning into it.
-inline std::vector<RenderedRow> RunAggregatedStreaming(
-    const sparql::BgpSolver& solver, const sparql::SelectQuery& q,
-    uint32_t channel_capacity) {
+/// Push-run twin of RunAggregated: renders each row from inside the sink,
+/// resolving aggregate values through the cursor's LocalVocab while the
+/// run is still going.
+inline std::vector<RenderedRow> RunAggregatedPushed(const sparql::BgpSolver& solver,
+                                                    const sparql::SelectQuery& q) {
   auto prepared = sparql::PrepareSelect(q);
   EXPECT_TRUE(prepared.ok()) << prepared.message();
   if (!prepared.ok()) return {};
-  sparql::ExecOptions opts;
-  opts.streaming = true;
-  opts.channel_capacity = channel_capacity;
-  sparql::Cursor cursor = sparql::OpenCursor(solver, prepared.value(), opts);
+  sparql::Cursor cursor = sparql::OpenCursor(solver, prepared.value());
   std::vector<RenderedRow> out;
-  Row row;
-  while (cursor.Next(&row)) {
+  cursor.Run([&](const Row& row) {
     RenderedRow rendered;
     for (TermId id : row) {
       const rdf::Term* t =
@@ -822,7 +811,8 @@ inline std::vector<RenderedRow> RunAggregatedStreaming(
       rendered.push_back(t ? t->ToNTriples() : "UNBOUND");
     }
     out.push_back(std::move(rendered));
-  }
+    return sparql::EmitResult::kContinue;
+  });
   EXPECT_TRUE(cursor.status().ok()) << cursor.status().message();
   std::sort(out.begin(), out.end());
   return out;

@@ -7,7 +7,7 @@
 
 #include "engine/engine.hpp"
 #include "rdf/reasoner.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "test_util.hpp"
 
@@ -134,33 +134,31 @@ class ErrorPathTest : public ::testing::Test {
  protected:
   ErrorPathTest()
       : t_({{"a", "p", "b"}, {"a", "type", "T"}}),
-        solver_(t_.g(), t_.dataset().dict()),
-        ex_(&solver_) {}
+        solver_(t_.g(), t_.dataset().dict()) {}
   TestGraph t_;
   sparql::TurboBgpSolver solver_;
-  sparql::Executor ex_;
 };
 
 TEST_F(ErrorPathTest, ParseErrorsPropagate) {
-  EXPECT_FALSE(ex_.Execute("SELEC ?x WHERE { ?x ?p ?o . }").ok());
-  EXPECT_FALSE(ex_.Execute("SELECT ?x WHERE { ?x ?p }").ok());
+  EXPECT_FALSE(sparql::Materialize(solver_, "SELEC ?x WHERE { ?x ?p ?o . }").ok());
+  EXPECT_FALSE(sparql::Materialize(solver_, "SELECT ?x WHERE { ?x ?p }").ok());
 }
 
 TEST_F(ErrorPathTest, NodeAndPredicatePositionConflict) {
-  auto r = ex_.Execute("SELECT * WHERE { ?x ?y ?z . ?y <http://t/p> ?w . }");
+  auto r = sparql::Materialize(solver_, "SELECT * WHERE { ?x ?y ?z . ?y <http://t/p> ?w . }");
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.message().find("positions"), std::string::npos);
 }
 
 TEST_F(ErrorPathTest, EmptyWhereYieldsOneEmptyRow) {
-  auto r = ex_.Execute("SELECT * WHERE { }");
+  auto r = sparql::Materialize(solver_, "SELECT * WHERE { }");
   ASSERT_TRUE(r.ok()) << r.message();
   // No variables, one (empty) solution — SPARQL's empty-group semantics.
   EXPECT_EQ(r.value().rows.size(), 1u);
 }
 
 TEST_F(ErrorPathTest, FilterOnUnknownVariableIsFalse) {
-  auto r = ex_.Execute("SELECT ?x WHERE { ?x <http://t/p> ?o . FILTER(?ghost > 1) }");
+  auto r = sparql::Materialize(solver_, "SELECT ?x WHERE { ?x <http://t/p> ?o . FILTER(?ghost > 1) }");
   ASSERT_TRUE(r.ok()) << r.message();
   EXPECT_EQ(r.value().rows.size(), 0u);
 }
@@ -170,8 +168,7 @@ TEST_F(ErrorPathTest, SchemaPatternOnTypeAwareGraph) {
   // dropped the triple (the side-table path).
   TestGraph t({{"Sub", "subclass", "Super"}, {"x", "type", "Sub"}, {"x", "p", "y"}});
   sparql::TurboBgpSolver s(t.g(), t.dataset().dict());
-  sparql::Executor ex(&s);
-  auto r = ex.Execute(
+  auto r = sparql::Materialize(s,
       "SELECT ?c WHERE { <http://t/Sub> "
       "<http://www.w3.org/2000/01/rdf-schema#subClassOf> ?c . }");
   ASSERT_TRUE(r.ok()) << r.message();
@@ -186,10 +183,9 @@ TEST_F(ErrorPathTest, SchemaJoinWithInstancePattern) {
                {"y", "type", "Super"},
                {"x", "p", "y"}});
   sparql::TurboBgpSolver s(t.g(), t.dataset().dict());
-  sparql::Executor ex(&s);
   // Join a type variable with a schema pattern: classes of ?a that are
   // subclasses of something.
-  auto r = ex.Execute(
+  auto r = sparql::Materialize(s,
       "SELECT ?a ?c ?d WHERE { ?a a ?c . ?c "
       "<http://www.w3.org/2000/01/rdf-schema#subClassOf> ?d . }");
   ASSERT_TRUE(r.ok()) << r.message();

@@ -13,7 +13,7 @@
 #include "rdf/reasoner.hpp"
 #include "rdf/snapshot.hpp"
 #include "rdf/turtle.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "test_util.hpp"
 #include "workload/lubm.hpp"
@@ -48,8 +48,7 @@ TEST(Integration, TurtleAndNTriplesProduceIdenticalGraphs) {
   auto count = [](const rdf::Dataset& ds, const std::string& q) {
     graph::DataGraph g = graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware);
     sparql::TurboBgpSolver solver(g, ds.dict());
-    sparql::Executor ex(&solver);
-    auto r = ex.Execute(q);
+    auto r = sparql::Materialize(solver, q);
     EXPECT_TRUE(r.ok()) << r.message();
     return r.ok() ? r.value().rows.size() : 0;
   };
@@ -74,8 +73,7 @@ TEST(Integration, SnapshotPreservesQueryAnswers) {
   auto run = [](const rdf::Dataset& d, const std::string& q) {
     graph::DataGraph g = graph::DataGraph::Build(d, graph::TransformMode::kTypeAware);
     sparql::TurboBgpSolver solver(g, d.dict());
-    sparql::Executor ex(&solver);
-    auto r = ex.Execute(q);
+    auto r = sparql::Materialize(solver, q);
     EXPECT_TRUE(r.ok());
     return r.ok() ? r.value().rows.size() : 0;
   };

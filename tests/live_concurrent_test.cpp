@@ -1,7 +1,7 @@
 // Read-while-write torture for the live store: one writer thread applies a
 // deterministic sequence of update batches (and a compaction) while reader
 // threads continuously pin snapshots and drain cursors — all four solver
-// kinds, materialized and streaming delivery. Every drained result must be
+// kinds, through Next and through push runs. Every result must be
 // byte-identical to a from-scratch oracle of the epoch the reader pinned:
 // that is the MVCC contract (readers never block, never see a half-applied
 // batch, never see a later epoch's rows). Compaction builds off the write
@@ -29,7 +29,6 @@
 namespace turbo::store {
 namespace {
 
-using sparql::ExecOptions;
 using sparql::QueryEngine;
 using sparql::Row;
 
@@ -88,13 +87,22 @@ rdf::Dataset DataFromEdges(const std::set<std::pair<std::string, std::string>>& 
   return ds;
 }
 
+/// Formats every row of `cursor`, sorted — read through a push run when
+/// `push` is set, through Next otherwise.
 std::vector<std::string> DrainSorted(const LiveStore::Snapshot& snap,
-                                     sparql::Cursor& cursor) {
+                                     sparql::Cursor& cursor, bool push = false) {
   std::vector<std::string> out;
-  Row row;
-  while (cursor.Next(&row))
+  auto format = [&](const Row& row) {
     out.push_back(sparql::FormatRow(cursor.var_names(), row, snap.dict(),
                                     cursor.local_vocab().get()));
+    return sparql::EmitResult::kContinue;
+  };
+  if (push) {
+    cursor.Run(format);
+  } else {
+    Row row;
+    while (cursor.Next(&row)) format(row);
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -174,17 +182,15 @@ TEST_P(LiveReadWrite, ReadersAlwaysSeeExactlyTheirPinnedEpoch) {
           failures.fetch_add(1);
           break;
         }
-        ExecOptions opts;
-        opts.streaming = (r + iter) % 2 == 1;
-        if (opts.streaming) opts.channel_capacity = 1 + iter % 3;
+        const bool push = (r + iter) % 2 == 1;
         bool hops = (r + iter) % 3 == 0;
         auto cursor = LiveStore::OpenAt(
-            snap, hops ? prepared_hops.value() : prepared_knows.value(), opts);
+            snap, hops ? prepared_hops.value() : prepared_knows.value());
         if (!cursor.ok()) {
           failures.fetch_add(1);
           continue;
         }
-        std::vector<std::string> got = DrainSorted(*snap, cursor.value());
+        std::vector<std::string> got = DrainSorted(*snap, cursor.value(), push);
         const std::vector<std::string>& want =
             hops ? expect_hops[snap->epoch] : expect_knows[snap->epoch];
         if (!cursor.value().status().ok() || got != want) failures.fetch_add(1);
@@ -264,16 +270,15 @@ TEST_P(LiveReadWrite, CompactionRacingUpdatesKeepsEveryEpochExact) {
       for (int iter = 0; iter == 0 || !writer_done.load(std::memory_order_acquire);
            ++iter) {
         std::shared_ptr<const LiveStore::Snapshot> snap = store.snapshot();
-        ExecOptions opts;
-        opts.streaming = iter % 2 == 1;
+        const bool push = iter % 2 == 1;
         const bool hops = (r + iter) % 3 == 0;
         auto cursor = LiveStore::OpenAt(
-            snap, hops ? prepared_hops.value() : prepared_knows.value(), opts);
+            snap, hops ? prepared_hops.value() : prepared_knows.value());
         if (!cursor.ok()) {
           failures.fetch_add(1);
           continue;
         }
-        std::vector<std::string> rows = DrainSorted(*snap, cursor.value());
+        std::vector<std::string> rows = DrainSorted(*snap, cursor.value(), push);
         if (!cursor.value().status().ok()) failures.fetch_add(1);
         seen[r].push_back({snap->epoch, hops, std::move(rows)});
       }

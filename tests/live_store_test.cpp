@@ -21,7 +21,6 @@
 namespace turbo::store {
 namespace {
 
-using sparql::ExecOptions;
 using sparql::QueryEngine;
 using sparql::Row;
 
@@ -46,23 +45,36 @@ LiveStore::Config StoreConfig(QueryEngine::SolverKind kind) {
   return config;
 }
 
+/// Formats every row of `cursor` — through a push run when `push` is set,
+/// through Next otherwise.
+std::vector<std::string> FormatAll(sparql::Cursor& cursor, const rdf::Dictionary& dict,
+                                   bool push) {
+  std::vector<std::string> out;
+  auto format = [&](const Row& row) {
+    out.push_back(sparql::FormatRow(cursor.var_names(), row, dict,
+                                    cursor.local_vocab().get()));
+    return sparql::EmitResult::kContinue;
+  };
+  if (push) {
+    cursor.Run(format);
+  } else {
+    Row row;
+    while (cursor.Next(&row)) format(row);
+  }
+  return out;
+}
+
 /// Runs a prepared plan over `snap` and returns the formatted rows, sorted —
 /// the byte-level result fingerprint the oracle tests compare.
 std::vector<std::string> RunPlanSorted(std::shared_ptr<const LiveStore::Snapshot> snap,
                                        const sparql::PreparedQuery& prepared,
-                                       bool streaming = false) {
-  ExecOptions opts;
-  opts.streaming = streaming;
-  auto cursor = LiveStore::OpenAt(snap, prepared, opts);
+                                       bool push = false) {
+  auto cursor = LiveStore::OpenAt(snap, prepared);
   if (!cursor.ok()) {
     ADD_FAILURE() << "open: " << cursor.message();
     return {"<open error>"};
   }
-  std::vector<std::string> out;
-  Row row;
-  while (cursor.value().Next(&row))
-    out.push_back(sparql::FormatRow(cursor.value().var_names(), row, snap->dict(),
-                                    cursor.value().local_vocab().get()));
+  std::vector<std::string> out = FormatAll(cursor.value(), snap->dict(), push);
   EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
   std::sort(out.begin(), out.end());
   return out;
@@ -70,13 +82,13 @@ std::vector<std::string> RunPlanSorted(std::shared_ptr<const LiveStore::Snapshot
 
 /// Runs `query` against the store's current epoch (see RunPlanSorted).
 std::vector<std::string> RunSorted(const LiveStore& store, const std::string& query,
-                                   bool streaming = false) {
+                                   bool push = false) {
   auto prepared = store.Prepare(query);
   if (!prepared.ok()) {
     ADD_FAILURE() << "prepare: " << prepared.message();
     return {"<prepare error>"};
   }
-  return RunPlanSorted(store.snapshot(), prepared.value(), streaming);
+  return RunPlanSorted(store.snapshot(), prepared.value(), push);
 }
 
 const char* const kKnows = "SELECT ?x ?y WHERE { ?x <http://x/knows> ?y . }";
@@ -99,8 +111,8 @@ TEST_P(LiveStoreSolvers, InsertsAreVisibleIncludingNewTerms) {
   EXPECT_EQ(result.value().inserted, 2u);
   EXPECT_EQ(result.value().delta_adds, 2u);
 
-  for (bool streaming : {false, true}) {
-    std::vector<std::string> knows = RunSorted(store, kKnows, streaming);
+  for (bool push : {false, true}) {
+    std::vector<std::string> knows = RunSorted(store, kKnows, push);
     ASSERT_EQ(knows.size(), 4u);
     EXPECT_NE(std::find_if(knows.begin(), knows.end(),
                            [](const std::string& r) {
@@ -108,7 +120,7 @@ TEST_P(LiveStoreSolvers, InsertsAreVisibleIncludingNewTerms) {
                            }),
               knows.end());
     // bob -> carol -> dave and dave -> alice -> bob span base and delta.
-    std::vector<std::string> hops = RunSorted(store, kTwoHop, streaming);
+    std::vector<std::string> hops = RunSorted(store, kTwoHop, push);
     EXPECT_EQ(hops.size(), 4u);
   }
 
@@ -128,11 +140,11 @@ TEST_P(LiveStoreSolvers, DeletesHideBaseTriples) {
   EXPECT_EQ(result.value().deleted, 1u);
   EXPECT_EQ(result.value().tombstones, 1u);
 
-  for (bool streaming : {false, true}) {
-    std::vector<std::string> knows = RunSorted(store, kKnows, streaming);
+  for (bool push : {false, true}) {
+    std::vector<std::string> knows = RunSorted(store, kKnows, push);
     ASSERT_EQ(knows.size(), 1u);
     EXPECT_EQ(knows[0].find("alice"), std::string::npos);
-    EXPECT_TRUE(RunSorted(store, kTwoHop, streaming).empty());
+    EXPECT_TRUE(RunSorted(store, kTwoHop, push).empty());
   }
 
   // Re-inserting erases the tombstone (set semantics) and restores the row.
@@ -149,16 +161,14 @@ TEST_P(LiveStoreSolvers, CursorsPinTheirEpoch) {
   LiveStore store(PeopleData(), StoreConfig(GetParam()));
   std::vector<std::string> before = RunSorted(store, kKnows);
 
-  for (bool streaming : {false, true}) {
+  for (bool push : {false, true}) {
     auto prepared = store.Prepare(kKnows);
     ASSERT_TRUE(prepared.ok());
     std::shared_ptr<const LiveStore::Snapshot> snap = store.snapshot();
-    ExecOptions opts;
-    opts.streaming = streaming;
-    auto pinned = LiveStore::OpenAt(snap, prepared.value(), opts);
+    auto pinned = LiveStore::OpenAt(snap, prepared.value());
     ASSERT_TRUE(pinned.ok());
 
-    // Mutate *after* Open, *before* the first Next: the pinned cursor must
+    // Mutate *after* Open, *before* the run: the pinned cursor must
     // still deliver the pre-update rows byte-for-byte.
     ASSERT_TRUE(
         store
@@ -166,13 +176,9 @@ TEST_P(LiveStoreSolvers, CursorsPinTheirEpoch) {
                     "; DELETE DATA { <http://x/bob> <http://x/knows> <http://x/carol> . }")
             .ok());
 
-    std::vector<std::string> got;
-    Row row;
-    while (pinned.value().Next(&row))
-      got.push_back(sparql::FormatRow(pinned.value().var_names(), row, snap->dict(),
-                                      pinned.value().local_vocab().get()));
+    std::vector<std::string> got = FormatAll(pinned.value(), snap->dict(), push);
     std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, before) << "streaming=" << streaming;
+    EXPECT_EQ(got, before) << "push=" << push;
 
     // Undo for the next iteration; new cursors see the undone state again.
     ASSERT_TRUE(
@@ -180,7 +186,7 @@ TEST_P(LiveStoreSolvers, CursorsPinTheirEpoch) {
             .Update("DELETE DATA { <http://x/eve> <http://x/knows> <http://x/alice> . } "
                     "; INSERT DATA { <http://x/bob> <http://x/knows> <http://x/carol> . }")
             .ok());
-    EXPECT_EQ(RunSorted(store, kKnows, streaming), before);
+    EXPECT_EQ(RunSorted(store, kKnows, push), before);
   }
 }
 
@@ -212,10 +218,10 @@ TEST_P(LiveStoreSolvers, MatchesFromScratchOracleAndSurvivesCompaction) {
 
   const char* kAggregate =
       "SELECT (SUM(?a) AS ?total) WHERE { ?x <http://x/age> ?a . }";
-  for (bool streaming : {false, true}) {
+  for (bool push : {false, true}) {
     for (const char* q : {kKnows, kTwoHop, kAggregate}) {
-      EXPECT_EQ(RunSorted(store, q, streaming), RunSorted(oracle, q, streaming))
-          << q << " streaming=" << streaming;
+      EXPECT_EQ(RunSorted(store, q, push), RunSorted(oracle, q, push))
+          << q << " push=" << push;
     }
   }
   // The SUM must include the overlay-interned "7" (30 + 25 + 7).
@@ -417,7 +423,7 @@ TEST(PlanCacheEpochs, EpochZeroPlanMatchesOracleAfterUpdateAndCompaction) {
   const std::optional<TermId> overlay_likes = updated->delta.overlay->FindId(X("likes"));
   ASSERT_TRUE(overlay_likes.has_value());
   EXPECT_EQ(RunPlanSorted(updated, plan), expected);
-  EXPECT_EQ(RunPlanSorted(updated, plan, /*streaming=*/true), expected);
+  EXPECT_EQ(RunPlanSorted(updated, plan, /*push=*/true), expected);
 
   ASSERT_TRUE(store.Compact().ok());
   std::shared_ptr<const LiveStore::Snapshot> compacted = store.snapshot();
@@ -425,7 +431,7 @@ TEST(PlanCacheEpochs, EpochZeroPlanMatchesOracleAfterUpdateAndCompaction) {
   // The re-rank gave the new predicate a different (low-band) id.
   EXPECT_NE(compacted->dict().Find(X("likes")), overlay_likes);
   EXPECT_EQ(RunPlanSorted(compacted, plan), expected);
-  EXPECT_EQ(RunPlanSorted(compacted, plan, /*streaming=*/true), expected);
+  EXPECT_EQ(RunPlanSorted(compacted, plan, /*push=*/true), expected);
 
   auto again = cache.Get(*compacted->engine, kLikes);
   EXPECT_TRUE(again.hit);

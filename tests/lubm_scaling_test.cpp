@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "workload/lubm.hpp"
 
@@ -19,10 +19,9 @@ std::vector<size_t> CountsAtScale(uint32_t universities) {
   rdf::Dataset ds = GenerateLubmClosed(cfg);
   graph::DataGraph g = graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware);
   sparql::TurboBgpSolver solver(g, ds.dict());
-  sparql::Executor ex(&solver);
   std::vector<size_t> counts;
   for (const std::string& q : LubmQueries()) {
-    auto r = ex.Execute(q);
+    auto r = sparql::Materialize(solver, q);
     EXPECT_TRUE(r.ok()) << r.message();
     counts.push_back(r.ok() ? r.value().rows.size() : 0);
   }
@@ -52,14 +51,13 @@ TEST(LubmScaling, Q6EqualsUndergraduatesPlusGraduates) {
   rdf::Dataset ds = GenerateLubmClosed(cfg);
   graph::DataGraph g = graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware);
   sparql::TurboBgpSolver solver(g, ds.dict());
-  sparql::Executor ex(&solver);
   auto queries = LubmQueries();
-  auto q6 = ex.Execute(queries[5]);
-  auto q14 = ex.Execute(queries[13]);
+  auto q6 = sparql::Materialize(solver, queries[5]);
+  auto q14 = sparql::Materialize(solver, queries[13]);
   const std::string grads =
       "PREFIX ub: <" + std::string(kUbPrefix) +
       "> SELECT ?x WHERE { ?x a ub:GraduateStudent . }";
-  auto qg = ex.Execute(grads);
+  auto qg = sparql::Materialize(solver, grads);
   ASSERT_TRUE(q6.ok() && q14.ok() && qg.ok());
   EXPECT_EQ(q6.value().rows.size(), q14.value().rows.size() + qg.value().rows.size());
 }

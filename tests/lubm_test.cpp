@@ -5,7 +5,7 @@
 
 #include "baseline/solvers.hpp"
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "workload/lubm.hpp"
 
@@ -37,8 +37,7 @@ class LubmTest : public ::testing::Test {
   }
 
   static size_t Run(const sparql::BgpSolver& solver, const std::string& text) {
-    sparql::Executor ex(&solver);
-    auto r = ex.Execute(text);
+    auto r = sparql::Materialize(solver, text);
     EXPECT_TRUE(r.ok()) << r.message();
     return r.ok() ? r.value().rows.size() : 0;
   }

@@ -16,7 +16,7 @@
 #include "engine/engine.hpp"
 #include "rdf/reasoner.hpp"
 #include "rdf/vocabulary.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "util/rng.hpp"
 
@@ -248,8 +248,7 @@ TEST_P(SparqlProperty, AllEnginesAgreeOnRandomBgps) {
     query += "}";
 
     auto run = [&](const sparql::BgpSolver& s) -> int64_t {
-      sparql::Executor ex(&s);
-      auto r = ex.Execute(query);
+      auto r = sparql::Materialize(s, query);
       if (!r.ok()) return -1;
       return static_cast<int64_t>(r.value().rows.size());
     };

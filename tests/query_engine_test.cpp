@@ -1,6 +1,6 @@
-// Streaming query API tests: QueryEngine / PreparedQuery / Cursor.
+// Query API tests: QueryEngine / PreparedQuery / Cursor.
 //
-//  * cursor Next matches the materialized Executor::Execute row-for-row
+//  * a push run (Cursor::Run) and cursor Next match Materialize row-for-row
 //    (including order) across all four solvers and the §4.3 crosscheck
 //    toggle matrix;
 //  * LIMIT-k / limit_budget pushdown provably shrinks the enumeration
@@ -21,7 +21,6 @@
 #include "crosscheck_util.hpp"
 #include "graph/data_graph.hpp"
 #include "rdf/reasoner.hpp"
-#include "sparql/executor.hpp"
 #include "sparql/parser.hpp"
 #include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
@@ -34,6 +33,16 @@ std::vector<Row> Drain(Cursor& cursor) {
   std::vector<Row> rows;
   Row row;
   while (cursor.Next(&row)) rows.push_back(row);
+  return rows;
+}
+
+/// Runs the cursor's plan as a push run and keeps every row the sink sees.
+std::vector<Row> PushAll(Cursor& cursor) {
+  std::vector<Row> rows;
+  cursor.Run([&](const Row& r) {
+    rows.push_back(r);
+    return EmitResult::kContinue;
+  });
   return rows;
 }
 
@@ -106,33 +115,18 @@ class CursorVsExecute : public ::testing::Test {
         direct_(graph::DataGraph::Build(ds_, graph::TransformMode::kDirect)),
         index_(ds_) {}
 
-  /// Drains the cursor and the compat Execute over the same solver and
-  /// expects identical rows in identical order — then repeats with
-  /// streaming (producer-thread) cursors at tight and loose channel
-  /// capacities and with a push run (Cursor::Run), which must also match
-  /// row-for-row.
+  /// Drains a cursor and Materialize over the same solver and expects
+  /// identical rows in identical order — then repeats with a push run
+  /// (Cursor::Run), which must also match row-for-row.
   void CheckIdentity(const BgpSolver& solver, const std::string& text) {
-    Executor ex(&solver);
-    auto materialized = ex.Execute(text);
+    auto materialized = Materialize(solver, text);
     ASSERT_TRUE(materialized.ok()) << materialized.message() << "\n" << text;
     QueryEngine engine(&solver);
-    std::vector<Row> streamed = OpenAndDrain(engine, text);
-    EXPECT_EQ(materialized.value().rows, streamed) << text;
-    for (uint32_t capacity : {1u, 64u}) {
-      ExecOptions opts;
-      opts.streaming = true;
-      opts.channel_capacity = capacity;
-      std::vector<Row> live = OpenAndDrain(engine, text, opts);
-      EXPECT_EQ(materialized.value().rows, live)
-          << text << " (streaming, capacity " << capacity << ")";
-    }
+    std::vector<Row> drained = OpenAndDrain(engine, text);
+    EXPECT_EQ(materialized.value().rows, drained) << text;
     auto cursor = engine.Open(text);
     ASSERT_TRUE(cursor.ok()) << cursor.message();
-    std::vector<Row> pushed;
-    cursor.value().Run([&](const Row& r) {
-      pushed.push_back(r);
-      return EmitResult::kContinue;
-    });
+    std::vector<Row> pushed = PushAll(cursor.value());
     EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
     EXPECT_EQ(materialized.value().rows, pushed) << text << " (push)";
   }
@@ -188,8 +182,8 @@ TEST_F(CursorVsExecute, CrosscheckToggleMatrix) {
   }
 }
 
-// Fuzz-scale SELECT queries (OPTIONAL / FILTER / UNION / DISTINCT): cursor
-// and Execute agree through every decoration.
+// Fuzz-scale SELECT queries (OPTIONAL / FILTER / UNION / DISTINCT): a push
+// run and Materialize agree through every decoration.
 TEST_F(CursorVsExecute, ExecutorFuzzCursorIdentity) {
   namespace cc = turbo::testing::crosscheck;
   for (uint64_t seed = 7000; seed < 7004; ++seed) {
@@ -199,13 +193,12 @@ TEST_F(CursorVsExecute, ExecutorFuzzCursorIdentity) {
     graph::DataGraph typed =
         graph::DataGraph::Build(c.ds, graph::TransformMode::kTypeAware);
     TurboBgpSolver solver(typed, c.ds.dict());
-    Executor ex(&solver);
-    auto materialized = ex.Execute(c.query);
+    auto materialized = Materialize(solver, c.query);
     ASSERT_TRUE(materialized.ok()) << materialized.message();
     auto prepared = PrepareSelect(c.query);
     ASSERT_TRUE(prepared.ok());
     Cursor cursor = OpenCursor(solver, prepared.value());
-    EXPECT_EQ(materialized.value().rows, Drain(cursor));
+    EXPECT_EQ(materialized.value().rows, PushAll(cursor));
     EXPECT_TRUE(cursor.status().ok());
   }
 }
@@ -280,9 +273,8 @@ TEST_F(LimitPushdown, OrderByDisablesPushdownButStaysExact) {
   ASSERT_EQ(rows.size(), 5u);
   // ORDER BY needs the full solution bag: no early stop.
   EXPECT_FALSE(solver->last_stats().stopped_early);
-  // And the cursor agrees with the compat wrapper.
-  Executor ex(&engine.solver());
-  auto materialized = ex.Execute(q);
+  // And the cursor agrees with Materialize.
+  auto materialized = Materialize(engine.solver(), q);
   ASSERT_TRUE(materialized.ok());
   EXPECT_EQ(materialized.value().rows, rows);
 }
@@ -810,8 +802,7 @@ TEST_F(AggregateQueries, CursorMatchesExecuteAcrossSolvers) {
          {static_cast<const BgpSolver*>(&turbo),
           static_cast<const BgpSolver*>(&sortmerge),
           static_cast<const BgpSolver*>(&indexjoin)}) {
-      Executor ex(solver);
-      auto materialized = ex.Execute(q);
+      auto materialized = Materialize(*solver, q);
       ASSERT_TRUE(materialized.ok()) << materialized.message() << "\n" << q;
       QueryEngine engine(solver);
       auto cursor = engine.Open(q);

@@ -5,7 +5,7 @@
 //    cells, separators, footers with and without a stop cause);
 //  * chunked writer: a chunk far larger than the socket buffer arrives
 //    intact through partial sendmsg writes;
-//  * protocol: JSON/TSV result encoding matches Executor::Execute byte for
+//  * protocol: JSON/TSV result encoding matches sparql::Materialize byte for
 //    byte, on both sides of the switch from inline rows to the worker's
 //    writer (0, 1, just under and just over the first full chunk, 10k
 //    rows), and a spilled response goes out in 64 KB chunks; X-Plan-Cache
@@ -21,8 +21,9 @@
 //    is building and how many updates the last one re-homed, and counts
 //    queries and updates apart;
 //  * admission control: a saturated worker pool answers 503 immediately and
-//    recovers once the pool drains; an idle keep-alive client is closed
-//    after the read timeout, so it cannot hold a worker;
+//    recovers once the pool drains; an idle keep-alive client, and one
+//    that trickles its request a byte at a time, is closed after the read
+//    timeout, so neither can hold a worker;
 //  * teardown: a client that disconnects mid-stream stops the search
 //    (Stop() joins everything, and the suite runs under ASan/TSan in CI);
 //  * threads: serving a query creates no thread, whether its response
@@ -50,7 +51,6 @@
 #include "server/http.hpp"
 #include "server/result_encoder.hpp"
 #include "server/sparql_server.hpp"
-#include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
 #include "store/live_store.hpp"
 #include "workload/lubm.hpp"
@@ -85,8 +85,7 @@ std::string UrlEncode(const std::string& s) {
 /// equal.
 std::string Reference(const QueryEngine& engine, const std::string& query,
                       const std::string& format) {
-  sparql::Executor ex(&engine.solver());
-  auto rs = ex.Execute(query);
+  auto rs = sparql::Materialize(engine.solver(), query);
   EXPECT_TRUE(rs.ok()) << rs.message();
   if (!rs.ok()) return {};
   auto enc = MakeResultEncoder(format);
@@ -357,7 +356,7 @@ TEST_F(ServerProtocolTest, StatsEndpointCounts) {
 
 /// Emits `total` width-2 rows; optionally blocks at a gate, after
 /// `gate_after` rows, until the test releases it (honouring control, so
-/// abandoned cursors and deadlines still terminate).
+/// cancelled runs and deadlines still terminate).
 class GateSolver final : public sparql::BgpSolver {
  public:
   GateSolver(const rdf::Dictionary& dict, uint64_t total, bool gated,
@@ -386,7 +385,7 @@ class GateSolver final : public sparql::BgpSolver {
     released_cv_.notify_all();
   }
   /// Evaluate calls that have returned — however the enumeration ended
-  /// (completion, downstream kStop, abandon/cancel/deadline trip).
+  /// (completion, downstream kStop, cancel/deadline trip).
   uint64_t finished() const { return finished_.load(std::memory_order_relaxed); }
 
  private:
@@ -572,13 +571,12 @@ TEST(ServerScale, SixtyFourConcurrentStreamingRequests) {
   solver.Release();
 
   // Row-for-row parity: every body equals the materialized reference.
-  sparql::Executor ex(&engine.solver());
   auto prepared = engine.Prepare(kPairQuery);
   ASSERT_TRUE(prepared.ok());
   std::string expected;
   {
     auto enc = MakeResultEncoder("tsv");
-    auto rs = ex.Execute(kPairQuery);
+    auto rs = sparql::Materialize(engine.solver(), kPairQuery);
     ASSERT_TRUE(rs.ok());
     ASSERT_EQ(rs.value().rows.size(), kRows);
     expected = enc->Header(rs.value().var_names);
@@ -1025,6 +1023,51 @@ TEST(ServerReadTimeout, IdleKeepAliveClientIsClosedAfterTheTimeout) {
   EXPECT_EQ(::recv(idle, &c, 1, 0), 0);
   EXPECT_EQ(server.stats().bad_requests, 0u);
   ::close(idle);
+  server.Stop();
+}
+
+TEST(ServerReadTimeout, TricklingClientIsClosedAfterTheTimeout) {
+  rdf::Dataset ds = TinyData();
+  GateSolver solver(ds.dict(), 4, /*gated=*/false);
+  QueryEngine engine(&solver);
+  ServerConfig config;
+  config.workers = 1;  // the trickling connection holds the only worker
+  config.read_timeout_ms = 300;
+  SparqlServer server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string target = "/sparql?format=tsv&query=" + UrlEncode(kPairQuery);
+
+  // A client that sends its request one byte every 100 ms: every recv
+  // returns well inside the timeout, but the request never completes.
+  int slow = DialLocal(server.port());
+  ASSERT_GE(slow, 0);
+  const std::string request = "GET " + target + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  constexpr size_t kTrickleBytes = 40;  // 4 s, never the whole request
+  ASSERT_LT(kTrickleBytes, request.size());
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    for (size_t i = 0; i < kTrickleBytes && !stop.load(); ++i) {
+      if (::send(slow, &request[i], 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(milliseconds(100));
+    }
+  });
+  std::this_thread::sleep_for(milliseconds(50));  // the worker takes it first
+  const steady_clock::time_point start = steady_clock::now();
+
+  // The second client is served once the first is cut off.
+  HttpResponse second;
+  EXPECT_TRUE(HttpGet(server.port(), target, &second).ok());
+  const auto waited = steady_clock::now() - start;
+  stop.store(true);
+  trickler.join();
+  EXPECT_EQ(second.status, 200);
+  EXPECT_LT(waited, milliseconds(300 + 1000));
+  // The server closed the trickling connection without an answer (a reset
+  // when bytes it never read were still arriving).
+  char c;
+  EXPECT_LE(::recv(slow, &c, 1, 0), 0);
+  EXPECT_EQ(server.stats().bad_requests, 0u);
+  ::close(slow);
   server.Stop();
 }
 

@@ -115,14 +115,20 @@ std::vector<std::string> RunOverLiveDelta(const ExecutorFuzzCase& c,
   EXPECT_TRUE(snap->has_delta());
   EXPECT_FALSE(snap->dict().Find(dict.term(fresh)).has_value())
       << "the fresh term must live in the overlay only";
-  sparql::ExecOptions opts;
-  opts.streaming = seed % 2 == 1;
-  auto cursor = store::LiveStore::OpenAt(snap, prepared, opts);
+  auto cursor = store::LiveStore::OpenAt(snap, prepared);
   EXPECT_TRUE(cursor.ok()) << cursor.message();
   if (!cursor.ok()) return {"<open error>"};
+  // Odd seeds read through a push run, even ones through Next.
   std::vector<Row> rows;
-  Row row;
-  while (cursor.value().Next(&row)) rows.push_back(row);
+  if (seed % 2 == 1) {
+    cursor.value().Run([&](const Row& r) {
+      rows.push_back(r);
+      return sparql::EmitResult::kContinue;
+    });
+  } else {
+    Row row;
+    while (cursor.value().Next(&row)) rows.push_back(row);
+  }
   EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
   return RenderSorted(rows, prepared.var_names(), snap->dict(),
                       cursor.value().local_vocab().get());
@@ -275,8 +281,8 @@ TEST(SolverCrosscheck, MatcherVsBruteForceOnRandomGraphs) {
 }
 
 // Nightly-scale fuzz tier: 100-500 entity graphs and full SELECT queries
-// (OPTIONAL / FILTER / UNION / DISTINCT) evaluated through the
-// sparql::Executor, so the solver integration — bound-row re-entry for
+// (OPTIONAL / FILTER / UNION / DISTINCT) evaluated through
+// sparql::Materialize, so the solver integration — bound-row re-entry for
 // OPTIONAL, filter pushdown, RegionArena reuse across the executor's many
 // Evaluate calls — is differentially tested, not just bare BGP matching.
 //
@@ -304,8 +310,7 @@ TEST(SolverCrosscheck, GroupAggregateFuzz) {
     baseline::IndexJoinBgpSolver index_join(index, c.ds.dict());
 
     // The reference input: flat SELECT * rows from a trusted baseline.
-    sparql::Executor flat_ex(&sort_merge);
-    auto flat = flat_ex.Execute(c.flat);
+    auto flat = sparql::Materialize(sort_merge, c.flat);
     ASSERT_TRUE(flat.ok()) << flat.message();
     if (flat.value().rows.size() > kRowCap) {
       ++skipped;
@@ -316,11 +321,9 @@ TEST(SolverCrosscheck, GroupAggregateFuzz) {
 
     EXPECT_EQ(expected, RunAggregated(sort_merge, c.query)) << "sortmerge";
     EXPECT_EQ(expected, RunAggregated(index_join, c.query)) << "indexjoin";
-    // Streaming delivery of aggregated rows: computed values resolve through
-    // the cursor's shared LocalVocab while the producer may still intern.
-    const uint32_t kCaps[] = {1, 2, 64};
-    EXPECT_EQ(expected, RunAggregatedStreaming(sort_merge, c.query, kCaps[seed % 3]))
-        << "streaming sortmerge cap=" << kCaps[seed % 3];
+    // Push delivery of aggregated rows: computed values resolve through the
+    // cursor's LocalVocab from inside the sink.
+    EXPECT_EQ(expected, RunAggregatedPushed(sort_merge, c.query)) << "push sortmerge";
 
     graph::DataGraph direct = graph::DataGraph::Build(c.ds, graph::TransformMode::kDirect);
     graph::DataGraph typed = graph::DataGraph::Build(c.ds, graph::TransformMode::kTypeAware);
@@ -364,21 +367,16 @@ TEST(SolverCrosscheck, LargeGraphExecutorFuzz) {
     baseline::SortMergeBgpSolver sort_merge(index, c.ds.dict());
     baseline::IndexJoinBgpSolver index_join(index, c.ds.dict());
 
-    const std::vector<Row> reference = RunExecutor(sort_merge, c.query);
+    const std::vector<Row> reference = RunMaterialized(sort_merge, c.query);
     if (reference.size() > kRowCap) {
       ++skipped;
       continue;
     }
     if (!reference.empty()) ++nonempty;
-    EXPECT_EQ(reference, RunExecutor(index_join, c.query)) << "baselines disagree";
+    EXPECT_EQ(reference, RunMaterialized(index_join, c.query)) << "baselines disagree";
 
-    // Streaming-cursor delivery (producer thread + bounded channel) must be
-    // row-for-row identical to materialized execution; tiny capacities keep
-    // the producer parked on backpressure for most of the drain.
-    const uint32_t kCaps[] = {1, 2, 64};
-    const uint32_t cap = kCaps[seed % 3];
-    EXPECT_EQ(reference, RunStreamingCursor(sort_merge, c.query, cap))
-        << "streaming sortmerge cap=" << cap;
+    // A push run must deliver exactly the materialized rows.
+    EXPECT_EQ(reference, RunPushed(sort_merge, c.query)) << "push sortmerge";
 
     // The same final triple set, read through a live store's delta.
     {
@@ -396,13 +394,12 @@ TEST(SolverCrosscheck, LargeGraphExecutorFuzz) {
 
     {
       sparql::TurboBgpSolver turbo_typed(typed, c.ds.dict());
-      EXPECT_EQ(reference, RunExecutor(turbo_typed, c.query)) << "type-aware";
-      EXPECT_EQ(reference, RunStreamingCursor(turbo_typed, c.query, cap))
-          << "streaming type-aware cap=" << cap;
+      EXPECT_EQ(reference, RunMaterialized(turbo_typed, c.query)) << "type-aware";
+      EXPECT_EQ(reference, RunPushed(turbo_typed, c.query)) << "push type-aware";
       sparql::TurboBgpSolver turbo_typed_c(typed_c, c.ds.dict());
-      EXPECT_EQ(reference, RunExecutor(turbo_typed_c, c.query)) << "type-aware compressed";
+      EXPECT_EQ(reference, RunMaterialized(turbo_typed_c, c.query)) << "type-aware compressed";
       sparql::TurboBgpSolver turbo_direct(direct, c.ds.dict());
-      EXPECT_EQ(reference, RunExecutor(turbo_direct, c.query)) << "direct";
+      EXPECT_EQ(reference, RunMaterialized(turbo_direct, c.query)) << "direct";
       // The solver's arena pool must actually have been exercised: the
       // executor re-enters Evaluate per OPTIONAL row. The streaming
       // pipeline nests those calls inside the outer Match's callback, so
@@ -418,15 +415,14 @@ TEST(SolverCrosscheck, LargeGraphExecutorFuzz) {
       MatchOptions o;
       o.num_threads = 3;
       sparql::TurboBgpSolver turbo_par(typed, c.ds.dict(), o);
-      EXPECT_EQ(reference, RunExecutor(turbo_par, c.query)) << "parallel type-aware";
-      // Parallel workers batch rows into the delivery channel; the sorted
-      // bag must still match exactly.
-      EXPECT_EQ(reference, RunStreamingCursor(turbo_par, c.query, cap))
-          << "streaming parallel cap=" << cap;
+      EXPECT_EQ(reference, RunMaterialized(turbo_par, c.query)) << "parallel type-aware";
+      // Parallel workers batch rows into the sink; the sorted bag must
+      // still match exactly.
+      EXPECT_EQ(reference, RunPushed(turbo_par, c.query)) << "push parallel";
       // Parallel decode shares nothing but the immutable compressed arrays;
       // each worker decodes into its own arena-backed scratch.
       sparql::TurboBgpSolver turbo_par_c(typed_c, c.ds.dict(), o);
-      EXPECT_EQ(reference, RunExecutor(turbo_par_c, c.query))
+      EXPECT_EQ(reference, RunMaterialized(turbo_par_c, c.query))
           << "parallel type-aware compressed";
     }
     if (::testing::Test::HasFailure()) break;

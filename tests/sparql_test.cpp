@@ -5,7 +5,7 @@
 
 #include "baseline/solvers.hpp"
 #include "rdf/reasoner.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/filter_eval.hpp"
 #include "sparql/lexer.hpp"
 #include "sparql/parser.hpp"
@@ -345,8 +345,7 @@ class ExecTest : public ::testing::Test {
         indexjoin_(index_, ds_.dict()) {}
 
   size_t CountRows(const BgpSolver& solver, const std::string& text) {
-    Executor ex(&solver);
-    auto r = ex.Execute(text);
+    auto r = Materialize(solver, text);
     EXPECT_TRUE(r.ok()) << r.message();
     return r.ok() ? r.value().rows.size() : 0;
   }
@@ -400,8 +399,7 @@ TEST_F(ExecTest, PaperOptionalExample) {
   // §5.1 Figure 12: rating+homepage optional as one clause; product1 has
   // ratings but no homepage => the whole optional nullifies, exactly one
   // solution (qualify-and-exclude-duplicate).
-  Executor ex(&turbo_);
-  auto r = ex.Execute(
+  auto r = Materialize(turbo_,
       "SELECT ?price ?rating ?homepage WHERE { "
       "<http://e/product1> a <http://e/Product> . "
       "<http://e/product1> <http://e/price> ?price . "
@@ -415,8 +413,7 @@ TEST_F(ExecTest, PaperOptionalExample) {
 }
 
 TEST_F(ExecTest, OptionalExtendsWhenPresent) {
-  Executor ex(&turbo_);
-  auto r = ex.Execute(
+  auto r = Materialize(turbo_,
       "SELECT ?x ?h WHERE { ?x a <http://e/Product> . "
       "OPTIONAL { ?x <http://e/homepage> ?h . } }");
   ASSERT_TRUE(r.ok()) << r.message();
@@ -453,8 +450,7 @@ TEST_F(ExecTest, UnionWithDistinct) {
 }
 
 TEST_F(ExecTest, OrderByAndLimit) {
-  Executor ex(&turbo_);
-  auto r = ex.Execute(
+  auto r = Materialize(turbo_,
       "SELECT ?x ?p WHERE { ?x <http://e/price> ?p . } ORDER BY DESC(?p) LIMIT 2");
   ASSERT_TRUE(r.ok()) << r.message();
   ASSERT_EQ(r.value().rows.size(), 2u);
@@ -463,8 +459,7 @@ TEST_F(ExecTest, OrderByAndLimit) {
 }
 
 TEST_F(ExecTest, OffsetSkips) {
-  Executor ex(&turbo_);
-  auto r = ex.Execute(
+  auto r = Materialize(turbo_,
       "SELECT ?x ?p WHERE { ?x <http://e/price> ?p . } ORDER BY ?p OFFSET 1 LIMIT 1");
   ASSERT_TRUE(r.ok()) << r.message();
   ASSERT_EQ(r.value().rows.size(), 1u);
@@ -506,15 +501,13 @@ TEST_F(ExecTest, CartesianAcrossComponents) {
 }
 
 TEST_F(ExecTest, SelectStarProjectsAllVars) {
-  Executor ex(&turbo_);
-  auto r = ex.Execute("SELECT * WHERE { ?x <http://e/price> ?p . }");
+  auto r = Materialize(turbo_, "SELECT * WHERE { ?x <http://e/price> ?p . }");
   ASSERT_TRUE(r.ok()) << r.message();
   EXPECT_EQ(r.value().var_names.size(), 2u);
 }
 
 TEST_F(ExecTest, NestedOptional) {
-  Executor ex(&turbo_);
-  auto r = ex.Execute(
+  auto r = Materialize(turbo_,
       "SELECT ?x ?r ?h WHERE { ?x a <http://e/Product> . "
       "OPTIONAL { ?x <http://e/rating> ?r . OPTIONAL { ?x <http://e/homepage> ?h . } } }");
   ASSERT_TRUE(r.ok()) << r.message();

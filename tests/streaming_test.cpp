@@ -1,19 +1,19 @@
-// Streaming-cursor tests: producer-thread delivery over the bounded channel.
+// Push-run tests: Cursor::Run hands each delivered row to the caller's
+// sink on the calling thread, and Next() serves the same rows from a
+// materialized run.
 //
-//  * backpressure: a fast producer never runs more than channel_capacity
-//    ahead of the consumer, so an unbounded query streams its first row
-//    before enumeration completes and peak_buffered_rows stays bounded;
-//  * teardown: destroying a cursor mid-stream (all four solvers, with the
-//    QueryEngine / PreparedQuery outliving it) joins the producer and
-//    terminates the enumeration itself — no leaked thread, no race (the
-//    suite runs under ASan and TSan in CI);
-//  * status: producer-side failures (error statuses and exceptions) surface
-//    through Cursor::status() with the original message and a distinct
-//    stop_cause, distinguishable from row-budget / deadline / cancel stops;
-//  * deadline expiry is observed while blocked on either channel end;
-//  * parity: streaming drains match materialized Execute row-for-row, also
-//    when a row budget or LIMIT stops the producer mid-batch and when rows
-//    are zero-width.
+//  * delivery: a push run delivers exactly the materialized rows, also when
+//    a row budget or LIMIT stops it and when rows are zero-width; the first
+//    row reaches the sink while the enumeration is still going, and a run
+//    without a sort or group stage holds no row (peak_buffered_rows 0);
+//  * stops: a sink kStop ends the enumeration itself on all four solvers
+//    and is a clean stop; a sink that gives up after the deadline records
+//    kDeadline; a cancel token fired from another thread mid-run ends it
+//    with kCancelled (the suite runs under ASan and TSan in CI);
+//  * status: solver errors and exceptions surface through Cursor::status()
+//    with the original message as kProducerFailed, distinct from row-budget
+//    / deadline / cancel stops;
+//  * aggregates resolve through local_vocab() from inside the sink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "baseline/solvers.hpp"
 #include "baseline/triple_index.hpp"
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "workload/lubm.hpp"
@@ -47,9 +46,8 @@ rdf::Dataset TinyData() {
   return ds;
 }
 
-/// Emits `total` synthetic width-2 rows, counting emissions observably from
-/// other threads and honouring stop/control — the deterministic producer
-/// for backpressure and teardown tests.
+/// Emits `total` synthetic width-2 rows, counting emissions and honouring
+/// stop/control — the deterministic producer for delivery and stop tests.
 class CountingSolver final : public BgpSolver {
  public:
   CountingSolver(const rdf::Dictionary& dict, uint64_t total)
@@ -107,8 +105,8 @@ class FailingSolver final : public BgpSolver {
   const uint64_t ok_rows_;
 };
 
-/// Throws from inside Evaluate — the producer thread's catch-all must turn
-/// this into a status instead of terminating the process.
+/// Throws from inside Evaluate — the run's catch-all must turn this into a
+/// status instead of terminating the process.
 class ThrowingSolver final : public BgpSolver {
  public:
   explicit ThrowingSolver(const rdf::Dictionary& dict) : dict_(dict) {}
@@ -127,8 +125,7 @@ class ThrowingSolver final : public BgpSolver {
 };
 
 /// Emits nothing and spins (politely) until the control trips — models a
-/// long enumeration with no deliverable row, which leaves the consumer
-/// blocked on an empty channel.
+/// long enumeration with no deliverable row.
 class StallingSolver final : public BgpSolver {
  public:
   explicit StallingSolver(const rdf::Dictionary& dict) : dict_(dict) {}
@@ -147,130 +144,84 @@ class StallingSolver final : public BgpSolver {
   const rdf::Dictionary& dict_;
 };
 
-ExecOptions Streaming(uint32_t capacity) {
-  ExecOptions opts;
-  opts.streaming = true;
-  opts.channel_capacity = capacity;
-  return opts;
+/// Push-runs the cursor's plan and keeps every row the sink sees.
+std::vector<Row> PushAll(Cursor& cursor) {
+  std::vector<Row> rows;
+  cursor.Run([&](const Row& row) {
+    rows.push_back(row);
+    return EmitResult::kContinue;
+  });
+  return rows;
+}
+
+std::vector<Row> DrainAll(Cursor& cursor) {
+  std::vector<Row> rows;
+  Row row;
+  while (cursor.Next(&row)) rows.push_back(row);
+  return rows;
+}
+
+/// Opens `query` twice under `opts` and expects the push run to deliver
+/// exactly the materialized rows with the same stop.
+void ExpectPushMatchesMaterialized(const QueryEngine& engine, const std::string& query,
+                                   const ExecOptions& opts, size_t rows,
+                                   StopCause cause) {
+  auto mat = engine.Open(query, opts);
+  ASSERT_TRUE(mat.ok());
+  const std::vector<Row> expect = DrainAll(mat.value());
+  ASSERT_EQ(expect.size(), rows) << query;
+  EXPECT_EQ(mat.value().stop_cause(), cause) << query;
+  auto push = engine.Open(query, opts);
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(PushAll(push.value()), expect) << query;
+  EXPECT_EQ(push.value().stop_cause(), cause) << query;
+  EXPECT_EQ(push.value().status().ok(), mat.value().status().ok()) << query;
 }
 
 // ---------------------------------------------------------------------------
-// Backpressure and parity on synthetic producers.
+// Delivery on synthetic producers.
 // ---------------------------------------------------------------------------
 
-TEST(StreamingBackpressure, ProducerNeverRunsMoreThanCapacityAhead) {
+TEST(PushDelivery, FirstRowReachesTheSinkMidEnumeration) {
   rdf::Dataset ds = TinyData();
   constexpr uint64_t kTotal = 10000;
   CountingSolver solver(ds.dict(), kTotal);
   QueryEngine engine(&solver);
-
-  auto cursor = engine.Open(kPairQuery, Streaming(8));
+  auto cursor = engine.Open(kPairQuery);
   ASSERT_TRUE(cursor.ok()) << cursor.message();
-  Row row;
-  ASSERT_TRUE(cursor.value().Next(&row));
-  // Give a runaway producer every chance to sprint ahead; with working
-  // backpressure it parks at: 1 delivered + 8 buffered + 1 blocked in the
-  // sink's hand.
-  std::this_thread::sleep_for(milliseconds(50));
-  EXPECT_LE(solver.emitted(), 1u + 8u + 1u);
-  EXPECT_LT(solver.emitted(), kTotal);  // first row arrived mid-enumeration
-
-  uint64_t drained = 1;
-  while (cursor.value().Next(&row)) ++drained;
-  EXPECT_EQ(drained, kTotal);
+  uint64_t emitted_at_first = 0, rows = 0;
+  cursor.value().Run([&](const Row&) {
+    if (rows++ == 0) emitted_at_first = solver.emitted();
+    return EmitResult::kContinue;
+  });
+  EXPECT_EQ(emitted_at_first, 1u);  // no row waits for the ones after it
+  EXPECT_EQ(rows, kTotal);
   EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
   EXPECT_EQ(cursor.value().stop_cause(), StopCause::kNone);
-  EXPECT_LE(cursor.value().peak_channel_rows(), 8u);
-  EXPECT_LE(cursor.value().peak_buffered_rows(), 8u);
+  EXPECT_EQ(cursor.value().peak_buffered_rows(), 0u);
   EXPECT_EQ(cursor.value().rows_before_modifiers(), kTotal);
 }
 
-TEST(StreamingBackpressure, StreamingMatchesMaterializedRowForRow) {
+TEST(PushDelivery, PushMatchesMaterializedRowForRow) {
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 500);
   QueryEngine engine(&solver);
-
-  Row row;
-  std::vector<Row> materialized;
-  {
-    auto cursor = engine.Open(kPairQuery);
-    ASSERT_TRUE(cursor.ok());
-    while (cursor.value().Next(&row)) materialized.push_back(row);
-  }
-  for (uint32_t capacity : {1u, 2u, 64u}) {
-    auto cursor = engine.Open(kPairQuery, Streaming(capacity));
-    ASSERT_TRUE(cursor.ok());
-    std::vector<Row> streamed;
-    while (cursor.value().Next(&row)) streamed.push_back(row);
-    EXPECT_TRUE(cursor.value().status().ok());
-    EXPECT_EQ(streamed, materialized) << "capacity " << capacity;
-  }
+  ExpectPushMatchesMaterialized(engine, kPairQuery, {}, 500, StopCause::kNone);
 }
 
-TEST(StreamingBackpressure, LimitZeroEndsImmediately) {
-  rdf::Dataset ds = TinyData();
-  CountingSolver solver(ds.dict(), 100);
-  QueryEngine engine(&solver);
-  auto cursor =
-      engine.Open("SELECT ?s ?o WHERE { ?s <http://x/p> ?o . } LIMIT 0", Streaming(4));
-  ASSERT_TRUE(cursor.ok());
-  Row row;
-  EXPECT_FALSE(cursor.value().Next(&row));
-  EXPECT_TRUE(cursor.value().status().ok());
-  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kNone);
-  EXPECT_EQ(solver.emitted(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Batched delivery edges: rows travel the channel in batches (the first row
-// alone, then capacity/4 rows each), so every early stop must still flush the
-// open partial batch, and zero-width rows must still count.
-// ---------------------------------------------------------------------------
-
-std::vector<Row> DrainAll(Cursor* cursor) {
-  std::vector<Row> rows;
-  Row row;
-  while (cursor->Next(&row)) rows.push_back(row);
-  return rows;
-}
-
-TEST(StreamingBatches, BudgetAndLimitStopsDeliverTheMaterializedRows) {
+TEST(PushDelivery, BudgetAndLimitStopsDeliverTheMaterializedRows) {
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 1000);
   QueryEngine engine(&solver);
-  // Neither 37 nor 42 fills a whole number of batches at capacity 8 (2-row
-  // batches after the first row) and 64 (16-row batches).
   ExecOptions budget;
   budget.row_budget = 37;
-  struct Case {
-    std::string query;
-    ExecOptions opts;
-    size_t rows;
-    StopCause cause;
-  } cases[] = {
-      {kPairQuery, budget, 37, StopCause::kRowBudget},
-      {"SELECT ?s ?o WHERE { ?s <http://x/p> ?o . } LIMIT 42", {}, 42, StopCause::kNone},
-  };
-  for (Case& c : cases) {
-    auto mat = engine.Open(c.query, c.opts);
-    ASSERT_TRUE(mat.ok());
-    const std::vector<Row> expect = DrainAll(&mat.value());
-    ASSERT_EQ(expect.size(), c.rows) << c.query;
-    EXPECT_EQ(mat.value().stop_cause(), c.cause) << c.query;
-    for (uint32_t capacity : {1u, 8u, 64u}) {
-      ExecOptions opts = c.opts;
-      opts.streaming = true;
-      opts.channel_capacity = capacity;
-      auto cursor = engine.Open(c.query, opts);
-      ASSERT_TRUE(cursor.ok());
-      EXPECT_EQ(DrainAll(&cursor.value()), expect) << c.query << " capacity " << capacity;
-      EXPECT_EQ(cursor.value().stop_cause(), c.cause) << c.query << " capacity " << capacity;
-      EXPECT_EQ(cursor.value().status().ok(), mat.value().status().ok());
-    }
-  }
+  ExpectPushMatchesMaterialized(engine, kPairQuery, budget, 37, StopCause::kRowBudget);
+  ExpectPushMatchesMaterialized(
+      engine, "SELECT ?s ?o WHERE { ?s <http://x/p> ?o . } LIMIT 42", {}, 42,
+      StopCause::kNone);
 }
 
-TEST(StreamingBatches, ZeroWidthRowsStreamTheRightCount) {
+TEST(PushDelivery, ZeroWidthRowsDeliverTheRightCount) {
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 100);
   QueryEngine engine(&solver);
@@ -278,173 +229,135 @@ TEST(StreamingBatches, ZeroWidthRowsStreamTheRightCount) {
   const std::string q = "SELECT * WHERE { <http://x/s0> <http://x/p> <http://x/o0> . }";
   auto mat = engine.Open(q);
   ASSERT_TRUE(mat.ok());
-  EXPECT_EQ(DrainAll(&mat.value()), std::vector<Row>(100));
-  for (uint32_t capacity : {1u, 8u, 64u}) {
-    auto cursor = engine.Open(q, Streaming(capacity));
-    ASSERT_TRUE(cursor.ok());
-    EXPECT_EQ(DrainAll(&cursor.value()), std::vector<Row>(100)) << "capacity " << capacity;
-    EXPECT_TRUE(cursor.value().status().ok());
-  }
+  EXPECT_EQ(DrainAll(mat.value()), std::vector<Row>(100));
+  auto push = engine.Open(q);
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(PushAll(push.value()), std::vector<Row>(100));
+  EXPECT_TRUE(push.value().status().ok());
+}
+
+TEST(PushDelivery, LimitZeroEndsImmediately) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 100);
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open("SELECT ?s ?o WHERE { ?s <http://x/p> ?o . } LIMIT 0");
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_TRUE(PushAll(cursor.value()).empty());
+  EXPECT_TRUE(cursor.value().status().ok());
+  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kNone);
+  EXPECT_EQ(solver.emitted(), 0u);
+}
+
+TEST(PushDelivery, ExplainAfterARunCountsTheSinkRows) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 300);
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open(kPairQuery);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(PushAll(cursor.value()).size(), 300u);
+  // Explain renders the run that happened; it does not run the plan again.
+  std::string plan = cursor.value().Explain();
+  EXPECT_NE(plan.find("Sink  in=300"), std::string::npos) << plan;
+  EXPECT_EQ(solver.emitted(), 300u);
 }
 
 // ---------------------------------------------------------------------------
-// Teardown: abandoned cursors.
+// Stops: sink, deadline, cancel.
 // ---------------------------------------------------------------------------
 
-TEST(StreamingTeardown, AbandonMidStreamStopsTheEnumeration) {
+TEST(PushStop, SinkStopEndsTheEnumeration) {
   rdf::Dataset ds = TinyData();
   constexpr uint64_t kTotal = 1000000;
   CountingSolver solver(ds.dict(), kTotal);
   QueryEngine engine(&solver);
-  {
-    auto cursor = engine.Open(kPairQuery, Streaming(4));
-    ASSERT_TRUE(cursor.ok());
-    Row row;
-    ASSERT_TRUE(cursor.value().Next(&row));
-    ASSERT_TRUE(cursor.value().Next(&row));
-    // Cursor destroyed here, mid-stream: the destructor must signal the
-    // producer, drain, and join — and the enumeration must die with it.
-  }
-  EXPECT_LT(solver.emitted(), kTotal);
+  auto cursor = engine.Open(kPairQuery);
+  ASSERT_TRUE(cursor.ok());
+  uint64_t rows = 0;
+  cursor.value().Run(
+      [&](const Row&) { return ++rows < 2 ? EmitResult::kContinue : EmitResult::kStop; });
+  EXPECT_EQ(rows, 2u);
+  EXPECT_TRUE(solver.stopped());  // the kStop reached the solver itself
+  EXPECT_EQ(solver.emitted(), 2u);
+  EXPECT_TRUE(cursor.value().status().ok());
+  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kNone);  // clean, like LIMIT
 }
 
-TEST(StreamingTeardown, AbandonBeforeFirstNextIsClean) {
+TEST(PushStop, UnrunCursorDoesNoWork) {
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 1000);
   QueryEngine engine(&solver);
   {
-    auto cursor = engine.Open(kPairQuery, Streaming(4));
+    auto cursor = engine.Open(kPairQuery);
     ASSERT_TRUE(cursor.ok());
-    // Never called Next: no producer thread ever started; destruction must
-    // still be clean.
   }
   EXPECT_EQ(solver.emitted(), 0u);
 }
 
-TEST(StreamingTeardown, AbandonWhileConsumerStillHoldsPrepared) {
-  // The PreparedQuery and QueryEngine outlive the cursor; re-opening after
-  // an abandoned stream must work (fresh pipeline, fresh producer).
+TEST(PushStop, PreparedQueryRerunsAfterStoppedRuns) {
+  // The PreparedQuery and QueryEngine outlive each cursor; a fresh cursor
+  // after runs stopped by their sinks gets a fresh pipeline.
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 5000);
   QueryEngine engine(&solver);
   auto prepared = engine.Prepare(kPairQuery);
   ASSERT_TRUE(prepared.ok());
   for (int round = 0; round < 3; ++round) {
-    auto cursor = engine.Open(prepared.value(), Streaming(1));
+    auto cursor = engine.Open(prepared.value());
     ASSERT_TRUE(cursor.ok());
-    Row row;
-    ASSERT_TRUE(cursor.value().Next(&row));
-    // dropped mid-stream each round
+    cursor.value().Run([](const Row&) { return EmitResult::kStop; });
+    EXPECT_TRUE(cursor.value().status().ok());
   }
-  auto cursor = engine.Open(prepared.value(), Streaming(16));
+  auto cursor = engine.Open(prepared.value());
   ASSERT_TRUE(cursor.ok());
-  Row row;
-  uint64_t n = 0;
-  while (cursor.value().Next(&row)) ++n;
-  EXPECT_EQ(n, 5000u);
+  EXPECT_EQ(PushAll(cursor.value()).size(), 5000u);
   EXPECT_TRUE(cursor.value().status().ok());
 }
 
-// ---------------------------------------------------------------------------
-// Status: producer-side failures vs caller-imposed stops.
-// ---------------------------------------------------------------------------
-
-TEST(StreamingStatus, ProducerErrorSurfacesWithOriginalMessage) {
-  rdf::Dataset ds = TinyData();
-  FailingSolver solver(ds.dict(), 5);
-  QueryEngine engine(&solver);
-  auto cursor = engine.Open(kPairQuery, Streaming(16));
-  ASSERT_TRUE(cursor.ok());
-  Row row;
-  uint64_t n = 0;
-  while (cursor.value().Next(&row)) ++n;
-  EXPECT_EQ(n, 5u);  // rows delivered before the failure remain valid
-  EXPECT_FALSE(cursor.value().status().ok());
-  EXPECT_NE(cursor.value().status().message().find("solver exploded"),
-            std::string::npos)
-      << cursor.value().status().message();
-  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kProducerFailed);
-}
-
-TEST(StreamingStatus, ProducerExceptionBecomesStatus) {
-  rdf::Dataset ds = TinyData();
-  ThrowingSolver solver(ds.dict());
-  QueryEngine engine(&solver);
-  auto cursor = engine.Open(kPairQuery, Streaming(4));
-  ASSERT_TRUE(cursor.ok());
-  Row row;
-  while (cursor.value().Next(&row)) {
-  }
-  EXPECT_FALSE(cursor.value().status().ok());
-  EXPECT_NE(cursor.value().status().message().find("kaboom"), std::string::npos)
-      << cursor.value().status().message();
-  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kProducerFailed);
-}
-
-TEST(StreamingStatus, RowBudgetIsDistinctFromProducerFailure) {
-  rdf::Dataset ds = TinyData();
-  CountingSolver solver(ds.dict(), 1000);
-  QueryEngine engine(&solver);
-  ExecOptions opts = Streaming(16);
-  opts.row_budget = 3;
-  auto cursor = engine.Open(kPairQuery, opts);
-  ASSERT_TRUE(cursor.ok());
-  Row row;
-  uint64_t n = 0;
-  while (cursor.value().Next(&row)) ++n;
-  EXPECT_EQ(n, 3u);
-  EXPECT_FALSE(cursor.value().status().ok());
-  EXPECT_NE(cursor.value().status().message().find("row budget"), std::string::npos);
-  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kRowBudget);
-}
-
-TEST(StreamingStatus, DeadlineObservedWhileProducerBlockedOnFullChannel) {
+TEST(PushStop, SinkThatWaitsOutTheDeadlineStopsWithDeadline) {
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 1000000);
   QueryEngine engine(&solver);
-  ExecOptions opts = Streaming(1);
-  opts.deadline = steady_clock::now() + milliseconds(60);
+  ExecOptions opts;
+  opts.deadline = steady_clock::now() + milliseconds(30);
   auto cursor = engine.Open(kPairQuery, opts);
   ASSERT_TRUE(cursor.ok());
-  Row row;
-  ASSERT_TRUE(cursor.value().Next(&row));
-  // Producer is now wedged on the full 1-slot channel. Sleep the consumer
-  // past the deadline: only the producer's timeout-aware Push wait (or the
-  // consumer-side check on the next Pop) can notice it.
-  std::this_thread::sleep_for(milliseconds(150));
-  uint64_t extra = 0;
-  while (cursor.value().Next(&row)) ++extra;
-  EXPECT_LE(extra, 3u);  // at most what was already in flight
+  uint64_t rows = 0;
+  // A slow consumer: the first row's sink blocks past the deadline and
+  // then gives up, as the server's sink does on a write that timed out.
+  cursor.value().Run([&](const Row&) {
+    ++rows;
+    std::this_thread::sleep_until(opts.deadline + milliseconds(5));
+    return EmitResult::kStop;
+  });
+  EXPECT_EQ(rows, 1u);
   EXPECT_FALSE(cursor.value().status().ok());
   EXPECT_NE(cursor.value().status().message().find("deadline"), std::string::npos)
       << cursor.value().status().message();
   EXPECT_EQ(cursor.value().stop_cause(), StopCause::kDeadline);
 }
 
-TEST(StreamingStatus, DeadlineObservedWhileConsumerBlockedOnEmptyChannel) {
+TEST(PushStop, DeadlineStopsASearchThatFindsNothing) {
   rdf::Dataset ds = TinyData();
   StallingSolver solver(ds.dict());
   QueryEngine engine(&solver);
-  ExecOptions opts = Streaming(4);
+  ExecOptions opts;
   opts.deadline = steady_clock::now() + milliseconds(60);
   auto cursor = engine.Open(kPairQuery, opts);
   ASSERT_TRUE(cursor.ok());
-  Row row;
   auto t0 = steady_clock::now();
-  EXPECT_FALSE(cursor.value().Next(&row));  // blocks until the deadline
+  EXPECT_TRUE(PushAll(cursor.value()).empty());  // returns at the deadline
   EXPECT_LT(steady_clock::now() - t0, milliseconds(5000));
   EXPECT_FALSE(cursor.value().status().ok());
   EXPECT_NE(cursor.value().status().message().find("deadline"), std::string::npos);
   EXPECT_EQ(cursor.value().stop_cause(), StopCause::kDeadline);
-  EXPECT_FALSE(cursor.value().Next(&row));  // stays ended
 }
 
-TEST(StreamingStatus, CancelTokenUnblocksTheConsumer) {
+TEST(PushStop, CancelFiredFromAnotherThreadEndsTheRun) {
   rdf::Dataset ds = TinyData();
   StallingSolver solver(ds.dict());
   QueryEngine engine(&solver);
   std::atomic<bool> cancel{false};
-  ExecOptions opts = Streaming(4);
+  ExecOptions opts;
   opts.cancel_token = &cancel;
   auto cursor = engine.Open(kPairQuery, opts);
   ASSERT_TRUE(cursor.ok());
@@ -452,89 +365,95 @@ TEST(StreamingStatus, CancelTokenUnblocksTheConsumer) {
     std::this_thread::sleep_for(milliseconds(30));
     cancel.store(true);
   });
-  Row row;
-  EXPECT_FALSE(cursor.value().Next(&row));
+  EXPECT_TRUE(PushAll(cursor.value()).empty());
   trip.join();
   EXPECT_FALSE(cursor.value().status().ok());
   EXPECT_NE(cursor.value().status().message().find("cancel"), std::string::npos);
   EXPECT_EQ(cursor.value().stop_cause(), StopCause::kCancelled);
 }
 
-TEST(StreamingStatus, ExplainSnapshotsMidStreamThenSettles) {
+// ---------------------------------------------------------------------------
+// Status: solver-side failures vs caller-imposed stops.
+// ---------------------------------------------------------------------------
+
+TEST(PushStatus, SolverErrorSurfacesWithOriginalMessage) {
   rdf::Dataset ds = TinyData();
-  CountingSolver solver(ds.dict(), 100000);
+  FailingSolver solver(ds.dict(), 5);
   QueryEngine engine(&solver);
-  auto cursor = engine.Open(kPairQuery, Streaming(1));
+  auto cursor = engine.Open(kPairQuery);
   ASSERT_TRUE(cursor.ok());
-  Row row;
-  uint64_t drained = 0;
-  ASSERT_TRUE(cursor.value().Next(&row));
-  ++drained;
-  // Mid-stream: a stable snapshot taken at a delivery boundary, with real
-  // per-operator counts covering at least every row the consumer has seen.
-  std::string mid = cursor.value().Explain();
-  EXPECT_NE(mid.find("streaming snapshot"), std::string::npos) << mid;
-  EXPECT_NE(mid.find("ChannelSink"), std::string::npos) << mid;
-  EXPECT_EQ(mid.find("in=0 out=0"), std::string::npos) << mid;
-  while (cursor.value().Next(&row)) ++drained;
-  // Settled: the live counters, which must account for every delivered row.
-  std::string plan = cursor.value().Explain();
-  EXPECT_EQ(plan.find("streaming snapshot"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("ChannelSink"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("out=" + std::to_string(drained)), std::string::npos) << plan;
+  EXPECT_EQ(PushAll(cursor.value()).size(), 5u);  // rows before the failure
+  EXPECT_FALSE(cursor.value().status().ok());
+  EXPECT_NE(cursor.value().status().message().find("solver exploded"),
+            std::string::npos)
+      << cursor.value().status().message();
+  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kProducerFailed);
 }
 
-TEST(StreamingStatus, ExplainBeforeFirstRowSaysNoRowsYet) {
+TEST(PushStatus, SolverExceptionBecomesStatus) {
   rdf::Dataset ds = TinyData();
-  StallingSolver solver(ds.dict());
+  ThrowingSolver solver(ds.dict());
   QueryEngine engine(&solver);
-  auto cursor = engine.Open(kPairQuery, Streaming(1));
+  auto cursor = engine.Open(kPairQuery);
   ASSERT_TRUE(cursor.ok());
-  // Producer is alive but nothing has reached the channel: no snapshot
-  // exists yet, and Explain must say so rather than render zero counts.
-  // (Cursor destruction abandons the stalled producer and joins it.)
-  EXPECT_NE(cursor.value().Explain().find("no rows delivered yet"),
-            std::string::npos);
+  PushAll(cursor.value());
+  EXPECT_FALSE(cursor.value().status().ok());
+  EXPECT_NE(cursor.value().status().message().find("kaboom"), std::string::npos)
+      << cursor.value().status().message();
+  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kProducerFailed);
+}
+
+TEST(PushStatus, RowBudgetIsDistinctFromSolverFailure) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 1000);
+  QueryEngine engine(&solver);
+  ExecOptions opts;
+  opts.row_budget = 3;
+  auto cursor = engine.Open(kPairQuery, opts);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(PushAll(cursor.value()).size(), 3u);
+  EXPECT_FALSE(cursor.value().status().ok());
+  EXPECT_NE(cursor.value().status().message().find("row budget"), std::string::npos);
+  EXPECT_EQ(cursor.value().stop_cause(), StopCause::kRowBudget);
 }
 
 // ---------------------------------------------------------------------------
-// Streaming aggregation: the LocalVocab is shared across threads.
+// Aggregates: computed values resolve from inside the sink.
 // ---------------------------------------------------------------------------
 
-TEST(StreamingAggregates, GroupedResultsResolveThroughSharedVocab) {
+TEST(PushAggregates, GroupedResultsResolveThroughLocalVocabInTheSink) {
   rdf::Dataset ds = TinyData();
   CountingSolver solver(ds.dict(), 400);
   QueryEngine engine(&solver);
   const std::string q =
       "SELECT ?s (COUNT(?o) AS ?c) WHERE { ?s <http://x/p> ?o . } GROUP BY ?s";
 
-  auto render = [&](Cursor& cursor) {
-    std::vector<std::string> out;
-    Row row;
-    // Resolve aggregate values while the producer may still be interning —
-    // the concurrent-intern/resolve path TSan checks.
-    while (cursor.Next(&row))
-      out.push_back(FormatRow(cursor.var_names(), row, engine.dict(),
-                              cursor.local_vocab().get()));
-    EXPECT_TRUE(cursor.status().ok()) << cursor.status().message();
-    return out;
-  };
-
   auto materialized = engine.Open(q);
   ASSERT_TRUE(materialized.ok());
-  std::vector<std::string> expect = render(materialized.value());
+  std::vector<std::string> expect;
+  Row row;
+  while (materialized.value().Next(&row))
+    expect.push_back(FormatRow(materialized.value().var_names(), row, engine.dict(),
+                               materialized.value().local_vocab().get()));
   ASSERT_FALSE(expect.empty());
 
-  auto streamed = engine.Open(q, Streaming(1));
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(render(streamed.value()), expect);
+  auto pushed = engine.Open(q);
+  ASSERT_TRUE(pushed.ok());
+  Cursor& cur = pushed.value();
+  std::vector<std::string> got;
+  cur.Run([&](const Row& r) {
+    got.push_back(FormatRow(cur.var_names(), r, engine.dict(), cur.local_vocab().get()));
+    return EmitResult::kContinue;
+  });
+  EXPECT_TRUE(cur.status().ok()) << cur.status().message();
+  EXPECT_EQ(got, expect);
 }
 
 // ---------------------------------------------------------------------------
 // LUBM: the acceptance scenario, across all four solvers.
 // ---------------------------------------------------------------------------
 
-class StreamingLubm : public ::testing::Test {
+class PushLubm : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     workload::LubmConfig cfg;
@@ -571,40 +490,35 @@ class StreamingLubm : public ::testing::Test {
   static baseline::TripleIndex* index_;
 };
 
-rdf::Dataset* StreamingLubm::ds_ = nullptr;
-graph::DataGraph* StreamingLubm::typed_ = nullptr;
-graph::DataGraph* StreamingLubm::direct_ = nullptr;
-baseline::TripleIndex* StreamingLubm::index_ = nullptr;
+rdf::Dataset* PushLubm::ds_ = nullptr;
+graph::DataGraph* PushLubm::typed_ = nullptr;
+graph::DataGraph* PushLubm::direct_ = nullptr;
+baseline::TripleIndex* PushLubm::index_ = nullptr;
 
-TEST_F(StreamingLubm, UnboundedQueryStreamsWithBoundedBuffer) {
+TEST_F(PushLubm, UnboundedQueryHoldsNoRow) {
   TurboBgpSolver solver(*typed_, ds_->dict());
   QueryEngine engine(&solver);
   const std::string q = StudentQuery();
-  constexpr uint32_t kCapacity = 16;
 
   // Materialized baseline: the full delivered set is resident at once.
   auto full = engine.Open(q);
   ASSERT_TRUE(full.ok());
-  Row row;
-  std::vector<Row> expect;
-  while (full.value().Next(&row)) expect.push_back(row);
+  std::vector<Row> expect = DrainAll(full.value());
   ASSERT_TRUE(full.value().status().ok());
-  ASSERT_GT(expect.size(), 100u * kCapacity);  // genuinely solution-heavy
+  ASSERT_GT(expect.size(), 1000u);  // genuinely solution-heavy
   EXPECT_EQ(full.value().peak_buffered_rows(), expect.size());
 
-  // Streaming: row-for-row identical, but never more than channel_capacity
-  // rows in flight — the full result set is never resident.
-  auto streaming = engine.Open(q, Streaming(kCapacity));
-  ASSERT_TRUE(streaming.ok());
-  std::vector<Row> got;
-  while (streaming.value().Next(&row)) got.push_back(row);
-  EXPECT_TRUE(streaming.value().status().ok());
-  EXPECT_EQ(got, expect);
-  EXPECT_LE(streaming.value().peak_buffered_rows(), kCapacity);
-  EXPECT_EQ(streaming.value().rows_before_modifiers(), expect.size());
+  // Push: row-for-row identical, and no row is held between the search and
+  // the sink — the full result set is never resident.
+  auto push = engine.Open(q);
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(PushAll(push.value()), expect);
+  EXPECT_TRUE(push.value().status().ok());
+  EXPECT_EQ(push.value().peak_buffered_rows(), 0u);
+  EXPECT_EQ(push.value().rows_before_modifiers(), expect.size());
 }
 
-TEST_F(StreamingLubm, AbandonMidStreamAcrossAllFourSolvers) {
+TEST_F(PushLubm, SinkStopAcrossAllFourSolvers) {
   TurboBgpSolver turbo_typed(*typed_, ds_->dict());
   TurboBgpSolver turbo_direct(*direct_, ds_->dict());
   baseline::SortMergeBgpSolver sortmerge(*index_, ds_->dict());
@@ -618,33 +532,34 @@ TEST_F(StreamingLubm, AbandonMidStreamAcrossAllFourSolvers) {
     ASSERT_TRUE(prepared.ok());
     uint64_t full_count = 0;
     {
-      auto cursor = engine.Open(prepared.value(), Streaming(64));
+      auto cursor = engine.Open(prepared.value());
       ASSERT_TRUE(cursor.ok());
-      Row row;
-      while (cursor.value().Next(&row)) ++full_count;
+      full_count = PushAll(cursor.value()).size();
       ASSERT_TRUE(cursor.value().status().ok());
     }
     ASSERT_GT(full_count, 3u);
     {
-      // Abandon with the producer mid-flight on a tight channel.
-      auto cursor = engine.Open(prepared.value(), Streaming(1));
+      // The sink stops after two rows: the solver unwinds, no further row
+      // enters the pipeline, and the stop is clean.
+      auto cursor = engine.Open(prepared.value());
       ASSERT_TRUE(cursor.ok());
-      Row row;
-      ASSERT_TRUE(cursor.value().Next(&row));
-      ASSERT_TRUE(cursor.value().Next(&row));
+      uint64_t rows = 0;
+      cursor.value().Run(
+          [&](const Row&) { return ++rows < 2 ? EmitResult::kContinue : EmitResult::kStop; });
+      EXPECT_EQ(rows, 2u);
+      EXPECT_EQ(cursor.value().rows_before_modifiers(), 2u);
+      EXPECT_TRUE(cursor.value().status().ok());
+      EXPECT_EQ(cursor.value().stop_cause(), StopCause::kNone);
     }
-    // The engine and prepared query survived the teardown: reopen and drain.
-    auto cursor = engine.Open(prepared.value(), Streaming(8));
+    // The engine and prepared query are unaffected: reopen and run it all.
+    auto cursor = engine.Open(prepared.value());
     ASSERT_TRUE(cursor.ok());
-    Row row;
-    uint64_t count = 0;
-    while (cursor.value().Next(&row)) ++count;
+    EXPECT_EQ(PushAll(cursor.value()).size(), full_count);
     EXPECT_TRUE(cursor.value().status().ok());
-    EXPECT_EQ(count, full_count);
   }
 }
 
-TEST_F(StreamingLubm, ParallelWorkersBatchDeliveryIntoTheChannel) {
+TEST_F(PushLubm, ParallelWorkersPushTheSequentialRows) {
   engine::MatchOptions mo;
   mo.num_threads = 3;
   TurboBgpSolver solver(*typed_, ds_->dict(), mo);
@@ -653,23 +568,21 @@ TEST_F(StreamingLubm, ParallelWorkersBatchDeliveryIntoTheChannel) {
 
   TurboBgpSolver seq(*typed_, ds_->dict());
   QueryEngine seq_engine(&seq);
-  Row row;
   std::vector<Row> expect;
   {
     auto cursor = seq_engine.Open(q);
     ASSERT_TRUE(cursor.ok());
-    while (cursor.value().Next(&row)) expect.push_back(row);
+    expect = DrainAll(cursor.value());
   }
   std::sort(expect.begin(), expect.end());
 
-  std::vector<Row> got;
-  auto cursor = engine.Open(q, Streaming(8));
+  auto cursor = engine.Open(q);
   ASSERT_TRUE(cursor.ok());
-  while (cursor.value().Next(&row)) got.push_back(row);
+  std::vector<Row> got = PushAll(cursor.value());
   EXPECT_TRUE(cursor.value().status().ok()) << cursor.value().status().message();
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expect);
-  EXPECT_LE(cursor.value().peak_channel_rows(), 8u);
+  EXPECT_EQ(cursor.value().peak_buffered_rows(), 0u);
 }
 
 }  // namespace

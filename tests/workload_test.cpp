@@ -7,7 +7,7 @@
 
 #include "baseline/solvers.hpp"
 #include "graph/data_graph.hpp"
-#include "sparql/executor.hpp"
+#include "sparql/query_engine.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "workload/bsbm.hpp"
 #include "workload/btc.hpp"
@@ -17,8 +17,7 @@ namespace turbo::workload {
 namespace {
 
 size_t Run(const sparql::BgpSolver& solver, const std::string& text) {
-  sparql::Executor ex(&solver);
-  auto r = ex.Execute(text);
+  auto r = sparql::Materialize(solver, text);
   EXPECT_TRUE(r.ok()) << r.message() << "\n" << text;
   return r.ok() ? r.value().rows.size() : 0;
 }
@@ -165,11 +164,10 @@ TEST(Bsbm, Q3NegationSemantics) {
   rdf::Dataset ds = GenerateBsbmClosed(SmallBsbm());
   graph::DataGraph g = graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware);
   sparql::TurboBgpSolver solver(g, ds.dict());
-  sparql::Executor ex(&solver);
-  auto q3 = ex.Execute(BsbmQueries()[2]);
+  auto q3 = sparql::Materialize(solver, BsbmQueries()[2]);
   ASSERT_TRUE(q3.ok()) << q3.message();
   // Compare against explicit both-features query.
-  auto both = ex.Execute(
+  auto both = sparql::Materialize(solver,
       std::string("PREFIX bsbm: <") + kBsbmPrefix + "> PREFIX inst: <" + kBsbmInst +
       "> PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> "
       "SELECT ?product WHERE { ?product a inst:ProductType1 . "
@@ -185,8 +183,7 @@ TEST(Bsbm, Q10OrderedByPrice) {
   rdf::Dataset ds = GenerateBsbmClosed(SmallBsbm());
   graph::DataGraph g = graph::DataGraph::Build(ds, graph::TransformMode::kTypeAware);
   sparql::TurboBgpSolver solver(g, ds.dict());
-  sparql::Executor ex(&solver);
-  auto r = ex.Execute(BsbmQueries()[9]);
+  auto r = sparql::Materialize(solver, BsbmQueries()[9]);
   ASSERT_TRUE(r.ok()) << r.message();
   double prev = -1;
   for (const auto& row : r.value().rows) {
