@@ -481,6 +481,7 @@ class Worker {
     for (uint32_t i = 1; i < t.num_nodes(); ++i)
       ar_.node_depth[i] = ar_.node_depth[t.node(i).parent] + 1;
     if (iso_) ar_.EnsureMapped(ctx_.g().num_vertices());
+    lap_ = std::chrono::steady_clock::now();
   }
 
   bool aborted() const { return aborted_; }
@@ -525,15 +526,13 @@ class Worker {
     ar_.ResetRegion();
     std::fill(ar_.cr_total.begin(), ar_.cr_total.end(), 0);
 
-    util::WallTimer te;
     bool ok = ExploreNode(0, vs);
-    stats.explore_ms += te.ElapsedMillis();
+    stats.explore_ms += Lap();
     if (!ok) return;
     ++stats.num_regions;
 
     if (!order_.ready || !ctx_.opt().reuse_matching_order) ComputeOrder();
 
-    util::WallTimer ts;
     ar_.m_node[0] = vs;
     if (iso_) ar_.mapped[vs] = 1;
     if (SelfLoopsOk(0, vs)) {
@@ -543,7 +542,7 @@ class Worker {
         Search(1);
     }
     if (iso_) ar_.mapped[vs] = 0;
-    stats.search_ms += ts.ElapsedMillis();
+    stats.search_ms += Lap();
   }
 
   MatchStats stats;
@@ -587,7 +586,6 @@ class Worker {
   /// paths by their candidate counts in the current region, then concatenate
   /// unvisited nodes path by path. With +REUSE this runs once per query.
   void ComputeOrder() {
-    util::WallTimer t;
     const QueryTree& tree = c_.tree;
     order_.node_at.clear();
     order_.node_at.reserve(tree.num_nodes());
@@ -632,7 +630,17 @@ class Worker {
     if (stats.matching_order.empty()) {
       for (uint32_t ni : order_.node_at) stats.matching_order.push_back(tree.node(ni).qv);
     }
-    stats.order_ms += t.ElapsedMillis();
+    stats.order_ms += Lap();  // the explore lap ended where this began
+  }
+
+  /// Milliseconds since the previous lap (or the end of construction),
+  /// starting the next: one clock read per phase boundary. The loop between
+  /// two starts falls into the next start's explore lap.
+  double Lap() {
+    const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
+    const double ms = std::chrono::duration<double, std::milli>(now - lap_).count();
+    lap_ = now;
+    return ms;
   }
 
   bool SelfLoopsOk(uint32_t depth, VertexId v) {
@@ -815,6 +823,7 @@ class Worker {
   bool aborted_ = false;
   uint32_t search_poll_ = 0;
   OrderInfo order_;
+  std::chrono::steady_clock::time_point lap_;  ///< the previous phase boundary
 };
 
 MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const QueryGraph& q,

@@ -78,7 +78,8 @@ struct MatchStats {
   uint64_t arena_workers = 0;         ///< RegionArenas checked out for the run
   uint64_t arena_warm = 0;            ///< arenas reused from a previous query
   uint64_t arena_bytes = 0;           ///< resident arena capacity after the run
-  double explore_ms = 0;              ///< time in ExploreCandidateRegion
+  /// Time in ExploreCandidateRegion, plus the loop between starts.
+  double explore_ms = 0;
   double search_ms = 0;               ///< time in SubgraphSearch
   double order_ms = 0;                ///< time in DetermineMatchingOrder
   double total_ms = 0;

@@ -149,6 +149,14 @@ void ParseHeaderLines(const std::string& head, size_t start,
   }
 }
 
+/// The value of hex digit `c`, or -1 when `c` is not one.
+int HexValue(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
 }  // namespace
 
 const std::string& HttpRequest::param(const std::string& key) const {
@@ -167,11 +175,12 @@ std::string UrlDecode(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (size_t i = 0; i < s.size(); ++i) {
+    int hi = -1, lo = -1;
     if (s[i] == '+') {
       out += ' ';
-    } else if (s[i] == '%' && i + 2 < s.size() && std::isxdigit((unsigned char)s[i + 1]) &&
-               std::isxdigit((unsigned char)s[i + 2])) {
-      out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
+    } else if (s[i] == '%' && i + 2 < s.size() && (hi = HexValue(s[i + 1])) >= 0 &&
+               (lo = HexValue(s[i + 2])) >= 0) {
+      out += static_cast<char>(hi << 4 | lo);
       i += 2;
     } else {
       out += s[i];
@@ -250,11 +259,6 @@ const char* StatusReason(int status) {
   }
 }
 
-bool HttpResponseWriter::Send(const char* data, size_t n) {
-  iovec iov{const_cast<char*>(data), n};
-  return SendV(&iov, 1);
-}
-
 bool HttpResponseWriter::WaitWritable() {
   int timeout_ms = -1;
   if (deadline_.time_since_epoch().count() != 0) {
@@ -312,7 +316,8 @@ bool HttpResponseWriter::WriteSimple(int status, const std::string& content_type
                      "\r\nConnection: " + (keep_alive ? "keep-alive" : "close") + "\r\n";
   for (const auto& [k, v] : extra) head += k + ": " + v + "\r\n";
   head += "\r\n";
-  return Send(head.data(), head.size()) && Send(body.data(), body.size());
+  iovec iov[2] = {{head.data(), head.size()}, {const_cast<char*>(body.data()), body.size()}};
+  return SendV(iov, 2);
 }
 
 void HttpResponseWriter::BeginChunked(int status, const std::string& content_type,

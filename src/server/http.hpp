@@ -70,7 +70,8 @@ class HttpResponseWriter {
   }
   static constexpr std::chrono::milliseconds kLateWriteGrace{100};
 
-  /// Complete fixed-length response (status line, headers, body).
+  /// Complete fixed-length response (status line, headers, body) in one
+  /// sendmsg.
   bool WriteSimple(int status, const std::string& content_type,
                    const std::string& body,
                    const std::map<std::string, std::string>& extra_headers = {},
@@ -94,7 +95,6 @@ class HttpResponseWriter {
   bool failed() const { return failed_; }
 
  private:
-  bool Send(const char* data, size_t n);
   /// Writes every byte of `iov[0..n)`, advancing the vector past partial
   /// writes (the entries are consumed).
   bool SendV(iovec* iov, size_t n);

@@ -30,8 +30,7 @@ class ResultEncoder {
 
   virtual const char* content_type() const = 0;
   virtual std::string Header(const std::vector<std::string>& vars) = 0;
-  /// Appends one row's fragment, separator included, to `*out`. `row` may
-  /// be a Row or one row of a RowBatch's flat cells.
+  /// Appends one row's fragment, separator included, to `*out`.
   virtual void AppendRow(const std::vector<std::string>& vars,
                          std::span<const TermId> row, const rdf::Dictionary& dict,
                          const sparql::LocalVocab* local, std::string* out) = 0;

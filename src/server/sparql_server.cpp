@@ -24,16 +24,15 @@
 #include "server/result_encoder.hpp"
 #include "sparql/parser.hpp"
 #include "store/live_store.hpp"
-#include "util/channel.hpp"
 
 namespace turbo::server {
 namespace {
 
-/// Accepted connections awaiting a worker. Unlike util::Channel this hands
-/// rejected/undrained fds back to the caller — sockets must be closed, not
-/// silently dropped. Admission counts idle workers: a connection is accepted
-/// when a worker is waiting for it OR the wait queue has room, so
-/// queue_depth = 0 means "serve up to `workers` connections, queue none".
+/// Accepted connections awaiting a worker. Rejected and undrained fds go
+/// back to the caller — sockets must be closed, not silently dropped.
+/// Admission counts idle workers: a connection is accepted when a worker is
+/// waiting for it OR the wait queue has room, so queue_depth = 0 means
+/// "serve up to `workers` connections, queue none".
 class ConnQueue {
  public:
   explicit ConnQueue(size_t cap) : cap_(cap) {}
@@ -87,126 +86,12 @@ class ConnQueue {
   bool closed_ = false;
 };
 
-/// A response's rows go out in chunks of about this many bytes, after a
-/// first chunk that carries the first row alone. A response that fills one
-/// such chunk spills: the rest of its rows go to the worker's SpillWriter.
+/// A response's rows go out in chunks: the first row alone, then one chunk
+/// of about kChunkBytes, then chunks of about kLargeChunkBytes. A response
+/// past its first full chunk is a large one, so its chunks grow to cut the
+/// sendmsg calls per response eightfold.
 constexpr size_t kChunkBytes = 8192;
-/// The writer's chunk size. A response that spilled is a large one, so its
-/// chunks grow to cut the sendmsg calls per response eightfold.
-constexpr size_t kSpillChunkBytes = 64 * 1024;
-/// Geometry of the channel from a worker to its writer: rows per batch,
-/// and batches in flight before the worker's pipeline blocks.
-constexpr size_t kSpillBatchRows = 16;
-constexpr size_t kSpillSlots = 4;
-
-/// Row batches from a worker's sink to its spill writer.
-using RowChannel = util::Channel<sparql::RowBatch>;
-
-/// What one /sparql response is encoded from and written to. The worker
-/// owns it; once the response spills, the writer uses it until Wait().
-struct ResponseBody {
-  ResponseBody(HttpResponseWriter* writer, ResultEncoder* encoder,
-               const std::vector<std::string>* names, const rdf::Dictionary* d)
-      : w(writer), enc(encoder), vars(names), dict(d) {}
-
-  HttpResponseWriter* w;
-  ResultEncoder* enc;
-  const std::vector<std::string>* vars;
-  const rdf::Dictionary* dict;
-  const sparql::LocalVocab* vocab = nullptr;
-  std::string buf;  ///< encoded bytes not yet sent
-  bool broken = false;  ///< the writer gave up on the response
-
-  void Append(std::span<const TermId> row) {
-    enc->AppendRow(*vars, row, *dict, vocab, &buf);
-  }
-  /// Sends `buf` as one chunk and empties it.
-  bool Send() {
-    bool ok = w->Chunk(buf);
-    buf.clear();
-    return ok;
-  }
-};
-
-/// A serving worker's writer thread. A response that outgrows its first
-/// full chunk hands its later rows here, so encoding and sending overlap
-/// the worker's matching; a smaller response never touches it.
-class SpillWriter {
- public:
-  SpillWriter() : thread_([this] { Loop(); }) {}
-  ~SpillWriter() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      quit_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-  SpillWriter(const SpillWriter&) = delete;
-  SpillWriter& operator=(const SpillWriter&) = delete;
-
-  /// Starts draining `rows` into `body`: rows are encoded into body->buf,
-  /// which goes out as a chunk whenever it holds kSpillChunkBytes. A failed
-  /// write closes `rows` from the consumer side, so the worker's next push
-  /// fails and its sink stops the search. The caller closes `rows` with
-  /// CloseProducer and then calls Wait before it touches `body` again.
-  void Begin(ResponseBody* body, RowChannel* rows) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      body_ = body;
-      rows_ = rows;
-    }
-    cv_.notify_all();
-  }
-
-  /// Blocks until the writer has drained the closed channel or given up;
-  /// body->buf then holds the encoded rows not yet sent.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return body_ == nullptr; });
-  }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_.wait(lock, [this] { return quit_ || body_ != nullptr; });
-      if (!body_) return;
-      ResponseBody* body = body_;
-      RowChannel* rows = rows_;
-      lock.unlock();
-      try {
-        Drain(body, rows);
-      } catch (...) {  // an encoder failure must not end the process
-        body->broken = true;
-        rows->CloseConsumer();
-      }
-      lock.lock();
-      body_ = nullptr;
-      cv_.notify_all();
-    }
-  }
-
-  static void Drain(ResponseBody* body, RowChannel* rows) {
-    body->buf.reserve(kSpillChunkBytes + kSpillChunkBytes / 4);  // a chunk and a batch
-    sparql::RowBatch batch;
-    while (rows->Pop(&batch) == RowChannel::Op::kOk) {
-      for (size_t i = 0; i < batch.size(); ++i) body->Append(batch.row(i));
-      if (body->buf.size() >= kSpillChunkBytes && !body->Send()) {
-        body->broken = true;
-        rows->CloseConsumer();
-        return;
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;  ///< a job arrived, a job finished, or quit
-  ResponseBody* body_ = nullptr;  ///< the response being drained, if any
-  RowChannel* rows_ = nullptr;
-  bool quit_ = false;
-  std::thread thread_;  ///< last: starts after the members it reads
-};
+constexpr size_t kLargeChunkBytes = 64 * 1024;
 
 uint64_t ParseU64(const std::string& s, uint64_t fallback) {
   if (s.empty()) return fallback;
@@ -239,7 +124,6 @@ struct SparqlServer::Impl {
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> rejected_overload{0};
   std::atomic<uint64_t> bad_requests{0};
-  std::atomic<uint64_t> responses_spilled{0};
   std::atomic<uint64_t> updates{0};
   std::atomic<uint32_t> in_flight{0};
 
@@ -282,7 +166,6 @@ struct SparqlServer::Impl {
   }
 
   void WorkerLoop() {
-    SpillWriter writer;  // this worker's writer, joined when the worker exits
     for (;;) {
       int fd = queue.Pop();
       if (fd < 0) return;
@@ -290,7 +173,7 @@ struct SparqlServer::Impl {
         std::lock_guard<std::mutex> lock(conns_mu);
         live_conns.insert(fd);
       }
-      ServeConnection(fd, &writer);
+      ServeConnection(fd);
       {
         std::lock_guard<std::mutex> lock(conns_mu);
         live_conns.erase(fd);
@@ -299,7 +182,7 @@ struct SparqlServer::Impl {
     }
   }
 
-  void ServeConnection(int fd, SpillWriter* writer) {
+  void ServeConnection(int fd) {
     std::string leftover;
     while (!stopping.load()) {
       HttpRequest req;
@@ -315,14 +198,14 @@ struct SparqlServer::Impl {
         return;
       }
       in_flight.fetch_add(1, std::memory_order_relaxed);
-      bool keep = Dispatch(fd, req, writer);
+      bool keep = Dispatch(fd, req);
       in_flight.fetch_sub(1, std::memory_order_relaxed);
       if (!keep) return;
     }
   }
 
   /// Returns whether the connection survives for another request.
-  bool Dispatch(int fd, const HttpRequest& req, SpillWriter* writer) {
+  bool Dispatch(int fd, const HttpRequest& req) {
     bool keep_alive = req.header("connection") != "close";
     HttpResponseWriter w(fd);
     if (req.path == "/stats") {
@@ -331,7 +214,6 @@ struct SparqlServer::Impl {
           "{\"requests\":" + std::to_string(s.requests) +
           ",\"rejected_overload\":" + std::to_string(s.rejected_overload) +
           ",\"bad_requests\":" + std::to_string(s.bad_requests) +
-          ",\"responses_spilled\":" + std::to_string(s.responses_spilled) +
           ",\"plan_cache\":{\"hits\":" + std::to_string(s.plan_cache_hits) +
           ",\"misses\":" + std::to_string(s.plan_cache_misses) +
           ",\"size\":" + std::to_string(plan_cache.size()) + "}";
@@ -404,11 +286,10 @@ struct SparqlServer::Impl {
       return w.WriteSimple(405, "text/plain", "use GET or POST\n", {}, keep_alive) &&
              keep_alive;
     }
-    return HandleQuery(&w, req, keep_alive, writer) && keep_alive;
+    return HandleQuery(&w, req, keep_alive) && keep_alive;
   }
 
-  bool HandleQuery(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive,
-                   SpillWriter* writer) {
+  bool HandleQuery(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive) {
     requests.fetch_add(1, std::memory_order_relaxed);
     std::string query = req.param("query");
     if (query.empty() &&
@@ -476,67 +357,40 @@ struct SparqlServer::Impl {
                             keep_alive);
     sparql::Cursor& cur = cursor.value();
     w->set_deadline(opts.deadline);
-    ResponseBody body{w, enc.get(), &cur.var_names(),
-                      snap ? &snap->dict() : &engine->dict()};
+    const std::vector<std::string>& vars = cur.var_names();
+    const rdf::Dictionary& dict = snap ? snap->dict() : engine->dict();
+    const sparql::LocalVocab* vocab = nullptr;
+    std::string buf;  // encoded bytes not yet sent
 
-    // The plan runs on this worker with the sink below as its root. The
-    // status line waits for the first row (or the end of the run), so an
-    // early failure still gets a real status code. The first row goes out
-    // alone — time to first byte tracks the search — then ~8KB chunks.
-    // Once a response has filled a full chunk it spills: later rows travel
-    // in batches to this worker's writer, which encodes them straight from
-    // the batch and sends ~64KB chunks while the search goes on. A failed
-    // or timed-out write stops the search (the sink returns kStop; past the
-    // deadline that is kDeadline).
-    sparql::EvalControl control;
-    control.cancel = opts.cancel_token;
-    control.deadline = opts.deadline;
+    // The plan runs on this worker with the sink below as its root: each
+    // row is matched, encoded and written on this thread, so a slow reader
+    // blocks the search in place. The status line waits for the first row
+    // (or the end of the run), so an early failure still gets a real status
+    // code. The first row goes out alone — time to first byte tracks the
+    // search — then one ~8KB chunk, then ~64KB chunks. A failed or timed-out
+    // write stops the search (the sink returns kStop; past the deadline that
+    // is kDeadline).
     bool begun = false;
+    size_t chunk_bytes = 0;  // the first row is a chunk of its own
     auto begin = [&] {
       begun = true;
       w->BeginChunked(200, enc->content_type(), headers, "X-Stop-Cause", keep_alive);
-      body.buf = enc->Header(*body.vars);
-    };
-    std::unique_ptr<RowChannel> spill;
-    sparql::RowBatch batch;
-    auto hand_batch = [&] {
-      auto op = control.cancel || control.has_deadline()
-                    ? spill->Push(std::move(batch),
-                                  [&] { return control.cancelled() || control.expired(); })
-                    : spill->Push(std::move(batch));
-      batch.Clear();
-      return op == RowChannel::Op::kOk;
+      buf = enc->Header(vars);
     };
     cur.Run([&](const sparql::Row& row) {
-      if (spill) {
-        if (batch.empty()) batch.Reserve(kSpillBatchRows, row.size());
-        batch.Append(row);
-        if (batch.size() < kSpillBatchRows || hand_batch())
-          return sparql::EmitResult::kContinue;
-        return sparql::EmitResult::kStop;
-      }
       if (!begun) {
         begin();
-        body.vocab = cur.local_vocab().get();  // the cursor keeps it alive
-        body.Append(row);
-        return body.Send() ? sparql::EmitResult::kContinue : sparql::EmitResult::kStop;
+        vocab = cur.local_vocab().get();  // the cursor keeps it alive
       }
-      body.Append(row);
-      if (body.buf.size() < kChunkBytes) return sparql::EmitResult::kContinue;
-      if (!body.Send()) return sparql::EmitResult::kStop;
-      spill = std::make_unique<RowChannel>(kSpillSlots);
-      responses_spilled.fetch_add(1, std::memory_order_relaxed);
-      writer->Begin(&body, spill.get());
-      return sparql::EmitResult::kContinue;
+      enc->AppendRow(vars, row, dict, vocab, &buf);
+      if (buf.size() < chunk_bytes) return sparql::EmitResult::kContinue;
+      chunk_bytes = chunk_bytes == 0 ? kChunkBytes : kLargeChunkBytes;
+      bool sent = w->Chunk(buf);
+      buf.clear();
+      return sent ? sparql::EmitResult::kContinue : sparql::EmitResult::kStop;
     });
-    bool handed = true;  // false: the last rows never reached the writer
-    if (spill) {
-      if (!batch.empty()) handed = hand_batch();
-      spill->CloseProducer();
-      writer->Wait();
-    }
     // Client gone or stalled past the deadline: close the connection.
-    if (!handed || w->failed() || body.broken) return false;
+    if (w->failed()) return false;
 
     sparql::StopCause cause = cur.stop_cause();
     if (!begun) {
@@ -553,8 +407,8 @@ struct SparqlServer::Impl {
       }
       begin();
     }
-    body.buf += enc->Footer(cause);
-    return w->EndChunked({{"X-Stop-Cause", sparql::ToString(cause)}}, body.buf);
+    buf += enc->Footer(cause);
+    return w->EndChunked({{"X-Stop-Cause", sparql::ToString(cause)}}, buf);
   }
 
   bool HandleUpdate(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive) {
@@ -596,7 +450,6 @@ struct SparqlServer::Impl {
     s.requests = requests.load(std::memory_order_relaxed);
     s.rejected_overload = rejected_overload.load(std::memory_order_relaxed);
     s.bad_requests = bad_requests.load(std::memory_order_relaxed);
-    s.responses_spilled = responses_spilled.load(std::memory_order_relaxed);
     s.plan_cache_hits = plan_cache.hits();
     s.plan_cache_misses = plan_cache.misses();
     s.updates = updates.load(std::memory_order_relaxed);

@@ -13,10 +13,9 @@
 //                                 application/sparql-update body; requires
 //                                 the live-store constructor (403 otherwise)
 //   GET  /stats                 — JSON counters (queries, overload 503s,
-//                                 spilled responses, plan-cache
-//                                 hits/misses/size, in-flight gauge; live
-//                                 stores add epoch / delta / compaction
-//                                 counters)
+//                                 plan-cache hits/misses/size, in-flight
+//                                 gauge; live stores add epoch / delta /
+//                                 compaction counters)
 //
 // When built over a live store, every /sparql response carries an X-Epoch
 // header naming the epoch the request pinned: rows are consistent with
@@ -35,15 +34,14 @@
 // with cause kDeadline.
 //
 // Execution: the plan runs on the serving worker (Cursor::Run) with the
-// response's row sink as the pipeline's root, so no thread is created per
+// response's row sink as the pipeline's root, so each row is matched,
+// encoded and written on that one thread and no thread is created per
 // query. Results stream with chunked transfer encoding: rows are encoded
-// into one reusable per-response buffer and sent in ~8 KB chunks, the first
-// row alone, so time-to-first-byte tracks the search's first row — not query
-// completion. A response that fills its first full 8 KB chunk spills: its
-// later rows travel in batches over a bounded channel to the worker's own
-// writer thread, which encodes them straight from each batch and sends
-// ~64 KB chunks while the search goes on; the worker sends the footer and
-// trailer once the writer has drained.
+// into one per-response buffer and sent as the first row alone, then one
+// ~8 KB chunk, then ~64 KB chunks, the footer and trailer going with the
+// last. Time-to-first-byte tracks the search's first row — not query
+// completion — and the socket is the backpressure: a slow reader blocks the
+// search in place, and a response holds at most one chunk of encoded rows.
 //
 // Status mapping: the status line waits for the first row or the end of
 // the run, so early failures get real codes — 400 parse error (parser
@@ -54,14 +52,14 @@
 // as is every stop after streaming has begun.
 //
 // Threading: an acceptor thread hands accepted connections to a bounded
-// pool of workers, each with one writer thread, all started in Start and
-// joined in Stop; each connection is owned by one worker for its keep-alive
-// lifetime (thread-per-connection with a bounded pool), or until one
-// request read outlasts ServerConfig::read_timeout_ms. When the pool and the wait
-// queue are both full, the acceptor answers 503 immediately rather than
-// letting connections queue unbounded. A client that disconnects
-// mid-stream fails the next chunk write, inline or on the writer; the sink
-// then stops the search and the worker closes the connection.
+// pool of workers, all started in Start and joined in Stop; each connection
+// is owned by one worker for its keep-alive lifetime (thread-per-connection
+// with a bounded pool), or until one request read outlasts
+// ServerConfig::read_timeout_ms. When the pool and the wait queue are both
+// full, the acceptor answers 503 immediately rather than letting
+// connections queue unbounded. A client that disconnects mid-stream fails
+// the next chunk write; the sink then stops the search and the worker
+// closes the connection.
 #pragma once
 
 #include <cstdint>
@@ -96,9 +94,6 @@ struct ServerStats {
   uint64_t requests = 0;           ///< /sparql requests fully dispatched (not /update)
   uint64_t rejected_overload = 0;  ///< fast 503s from admission control
   uint64_t bad_requests = 0;       ///< 400s (malformed HTTP or query)
-  /// /sparql responses that outgrew their first full chunk and handed the
-  /// rest of their rows to the worker's writer thread.
-  uint64_t responses_spilled = 0;
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   /// Always 0: plans are keyed on query text alone and never go stale.

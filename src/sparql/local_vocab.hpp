@@ -7,10 +7,9 @@
 //
 // One LocalVocab lives per cursor execution; the Cursor / ResultSet share
 // ownership so delivered rows stay resolvable after the pipeline is gone.
-// Two threads can touch one vocab at once: an HTTP worker's spill writer
-// resolves delivered rows while the worker's BIND or aggregate still
-// interns, and the live store's term overlay is shared by every reader of
-// an epoch. So Intern/Find/Numeric synchronize on an internal mutex; deques
+// A cursor's own vocab is touched by one thread at a time, but the live
+// store's term overlay is a LocalVocab shared by every reader of an epoch.
+// So Intern/Find/Numeric synchronize on an internal mutex; deques
 // keep term references stable across growth, so a pointer returned by Find
 // stays valid for the vocab's lifetime.
 #pragma once

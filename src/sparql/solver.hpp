@@ -18,7 +18,6 @@
 #include <chrono>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,9 +34,9 @@ namespace turbo::sparql {
 using Row = std::vector<TermId>;
 
 /// `size()` rows of `width()` TermIds stored flat — what a materialized
-/// cursor collects into (and the server's spill channel carries). The row count is
-/// kept explicitly, so zero-width rows (SELECT * over a ground pattern)
-/// still count. Operators keep passing `const Row&`.
+/// cursor collects into. The row count is kept explicitly, so zero-width
+/// rows (SELECT * over a ground pattern) still count. Operators keep
+/// passing `const Row&`.
 class RowBatch {
  public:
   size_t size() const { return n_; }
@@ -50,21 +49,11 @@ class RowBatch {
     cells_.insert(cells_.end(), row.begin(), row.end());
     ++n_;
   }
-  /// Row `i` in place: a view of the batch's flat cells.
-  std::span<const TermId> row(size_t i) const {
-    return std::span<const TermId>(cells_).subspan(i * width_, width_);
-  }
   /// Overwrites `*out` with row `i` (no allocation once `*out` has room).
   void CopyRow(size_t i, Row* out) const {
     auto first = cells_.begin() + static_cast<std::ptrdiff_t>(i * width_);
     out->assign(first, first + static_cast<std::ptrdiff_t>(width_));
   }
-  /// Empties the batch, keeping its storage for reuse.
-  void Clear() {
-    cells_.clear();
-    n_ = 0;
-  }
-  void Reserve(size_t rows, size_t width) { cells_.reserve(rows * width); }
   /// The rows as separate vectors (tests and diagnostics).
   std::vector<Row> ToRows() const {
     std::vector<Row> out(n_);

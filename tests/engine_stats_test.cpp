@@ -74,6 +74,16 @@ TEST_F(StatsTest, RegionAndCandidateCountsPopulated) {
   EXPECT_GE(stats.total_ms, 0.0);
 }
 
+TEST_F(StatsTest, PhaseTimesSplitTheSequentialRun) {
+  Matcher m(t_.g());  // one thread: the phases are laps of one clock
+  MatchStats stats;
+  EXPECT_GT(m.Count(Triangle(), &stats), 0u);
+  EXPECT_GT(stats.num_regions, 1u);
+  EXPECT_GT(stats.explore_ms, 0.0);
+  EXPECT_GT(stats.search_ms, 0.0);
+  EXPECT_LE(stats.explore_ms + stats.order_ms + stats.search_ms, stats.total_ms);
+}
+
 TEST_F(StatsTest, IntersectionVsMembershipCounters) {
   QueryGraph q = Triangle();
   MatchOptions with_int;  // default: +INT

@@ -5,15 +5,17 @@
 //    cells, separators, footers with and without a stop cause);
 //  * chunked writer: a chunk far larger than the socket buffer arrives
 //    intact through partial sendmsg writes;
+//  * URL decoding: every byte as an upper- and lower-case escape, '+', and
+//    malformed escapes kept verbatim;
 //  * protocol: JSON/TSV result encoding matches sparql::Materialize byte for
-//    byte, on both sides of the switch from inline rows to the worker's
-//    writer (0, 1, just under and just over the first full chunk, 10k
-//    rows), and a spilled response goes out in 64 KB chunks; X-Plan-Cache
+//    byte around the first full chunk (0, 1, just under and just over it,
+//    10k rows), and a large response goes out in 64 KB chunks; X-Plan-Cache
 //    miss-then-hit with identical rows; malformed queries get a 400 whose
 //    body carries the parse error; per-request
 //    deadline maps to 408 before the first row and an in-body stop marker
-//    after it (inline or spilled), a row budget is a 200 with the marker
-//    before the first row, inline, or spilled, and a request can tighten the
+//    after it (in the first chunk or past it), a row budget is a 200 with the
+//    marker before the first row, in the first chunk, or past it, and a
+//    request can tighten the
 //    server's deadline but never lift or loosen it; a reader that stops
 //    reading holds its worker no longer than the deadline;
 //  * live store: a cached plan keeps hitting across POST /update and
@@ -26,8 +28,9 @@
 //    timeout, so neither can hold a worker;
 //  * teardown: a client that disconnects mid-stream stops the search
 //    (Stop() joins everything, and the suite runs under ASan/TSan in CI);
-//  * threads: serving a query creates no thread, whether its response
-//    stays inline or spills to the worker's writer;
+//  * threads: a started server runs one thread per worker plus the
+//    acceptor, and serving a query creates no thread, whether its response
+//    fits in one chunk or not;
 //  * scale: 64 concurrent in-flight streaming requests over one shared
 //    engine, every response row-identical to the materialized reference.
 #include <gtest/gtest.h>
@@ -226,6 +229,36 @@ TEST(ResultEncoderGolden, EscapesPastTheFirstWordAndInAShortTail) {
   auto tsv = MakeResultEncoder("tsv");
   EXPECT_EQ(tsv->EncodeRow(vars, row, dict, nullptr),
             "\"plain-run-\\\"caf\xC3\xA9 12345\\\\abc\\b\\u001F\"\n");
+}
+
+// ---------------------------------------------------------------------------
+// URL decoding.
+// ---------------------------------------------------------------------------
+
+TEST(HttpUrlDecode, EveryEscapeAndMalformedForms) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string byte(1, static_cast<char>(b));
+    for (const char* fmt : {"%%%02X", "%%%02x"}) {
+      char esc[4];
+      std::snprintf(esc, sizeof esc, fmt, b);
+      EXPECT_EQ(UrlDecode(esc), byte) << esc;
+      EXPECT_EQ(UrlDecode(std::string("x") + esc + "z"), "x" + byte + "z") << esc;
+    }
+  }
+  EXPECT_EQ(UrlDecode("+"), " ");
+  EXPECT_EQ(UrlDecode("a+b+"), "a b ");
+  // A '%' that does not start two hex digits stays as it is; "%%41" keeps
+  // its first '%' and decodes the escape behind it.
+  EXPECT_EQ(UrlDecode("%"), "%");
+  EXPECT_EQ(UrlDecode("x%"), "x%");
+  EXPECT_EQ(UrlDecode("x%z"), "x%z");
+  EXPECT_EQ(UrlDecode("x%4"), "x%4");
+  EXPECT_EQ(UrlDecode("x%4z"), "x%4z");
+  EXPECT_EQ(UrlDecode("x%G1"), "x%G1");
+  EXPECT_EQ(UrlDecode("x%G1z"), "x%G1z");
+  EXPECT_EQ(UrlDecode("x%1G"), "x%1G");
+  EXPECT_EQ(UrlDecode("x%%41"), "x%A");
+  EXPECT_EQ(UrlDecode("x%%41z"), "x%Az");
 }
 
 // ---------------------------------------------------------------------------
@@ -441,10 +474,11 @@ rdf::Dataset TinyData() {
 
 const char* const kPairQuery = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }";
 
-/// The row count at which a GateSolver response over `dict` spills to the
-/// worker's writer: the first row goes out alone, then rows fill an 8 KB
-/// chunk, and the row that fills it is the last one encoded inline.
-uint64_t SpillRow(const rdf::Dictionary& dict, const std::string& format) {
+/// The row count at which a GateSolver response over `dict` fills its first
+/// full chunk: the first row goes out alone, then rows fill an 8 KB chunk,
+/// and the row that fills it is the last one in that chunk; later rows go
+/// out in 64 KB chunks.
+uint64_t FirstFullChunkRow(const rdf::Dictionary& dict, const std::string& format) {
   auto enc = MakeResultEncoder(format);
   const std::vector<std::string> vars{"s", "o"};
   const TermId n = static_cast<TermId>(dict.size());
@@ -599,7 +633,7 @@ TEST(ServerScale, SixtyFourConcurrentStreamingRequests) {
 TEST(ServerDeadline, DeadlineBeforeFirstRowIs408MidStreamIsMarker) {
   rdf::Dataset ds = TinyData();
   // The gate is never released, so the deadline wins: before the first row,
-  // and after 2000 rows — past the switch to the worker's writer.
+  // and after 2000 rows — past the first full chunk.
   for (uint64_t gate_after : {0, 2000}) {
     GateSolver gated(ds.dict(), 5000, /*gated=*/true, gate_after);
     QueryEngine engine(&gated);
@@ -621,7 +655,6 @@ TEST(ServerDeadline, DeadlineBeforeFirstRowIs408MidStreamIsMarker) {
         << "header, the 2000 rows before the gate, marker";
     EXPECT_TRUE(resp.body.ends_with("\n# stopped: deadline\n"));
     EXPECT_EQ(resp.headers["x-stop-cause"], "deadline");
-    EXPECT_EQ(server.stats().responses_spilled, 1u);
     server.Stop();
   }
 }
@@ -711,7 +744,7 @@ TEST(ServerDeadline, RequestCannotLiftOrLoosenServerDeadline) {
   server.Stop();
 }
 
-TEST(ServerSpill, BodiesMatchReferenceOnBothSidesOfTheSwitch) {
+TEST(ServerChunks, BodiesMatchReferenceAroundTheFirstFullChunk) {
   rdf::Dataset ds = TinyData();
   constexpr uint64_t kRows = 10'000;
   GateSolver solver(ds.dict(), kRows, /*gated=*/false);
@@ -719,12 +752,11 @@ TEST(ServerSpill, BodiesMatchReferenceOnBothSidesOfTheSwitch) {
   SparqlServer server(&engine, ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
   for (const std::string format : {"tsv", "json"}) {
-    const uint64_t at = SpillRow(ds.dict(), format);
+    const uint64_t at = FirstFullChunkRow(ds.dict(), format);
     ASSERT_LT(at + 1, kRows);
     for (uint64_t rows : {uint64_t{0}, uint64_t{1}, at - 1, at + 1, kRows}) {
       std::string query = kPairQuery;
       if (rows < kRows) query += " LIMIT " + std::to_string(rows);
-      const uint64_t spilled = server.stats().responses_spilled;
       HttpResponse resp;
       ASSERT_TRUE(HttpGet(server.port(),
                           "/sparql?format=" + format + "&query=" + UrlEncode(query), &resp)
@@ -732,9 +764,8 @@ TEST(ServerSpill, BodiesMatchReferenceOnBothSidesOfTheSwitch) {
       EXPECT_EQ(resp.status, 200);
       EXPECT_EQ(resp.headers["x-stop-cause"], "none");
       EXPECT_TRUE(resp.body == Reference(engine, query, format))
-          << format << ", " << rows << " rows: body differs from the reference";
-      EXPECT_EQ(server.stats().responses_spilled - spilled, rows > at ? 1u : 0u)
-          << format << ", " << rows << " rows (switch at row " << at << ")";
+          << format << ", " << rows << " rows (first full chunk at row " << at
+          << "): body differs from the reference";
     }
   }
   server.Stop();
@@ -772,7 +803,7 @@ std::vector<size_t> ChunkSizes(uint16_t port, const std::string& target) {
   return sizes;
 }
 
-TEST(ServerSpill, SpilledResponseGoesOutIn64KBChunks) {
+TEST(ServerChunks, LargeResponseGoesOutIn64KBChunks) {
   rdf::Dataset ds = TinyData();
   GateSolver solver(ds.dict(), 10'000, /*gated=*/false);
   QueryEngine engine(&solver);
@@ -784,8 +815,8 @@ TEST(ServerSpill, SpilledResponseGoesOutIn64KBChunks) {
     size_t bytes = 0;
     for (size_t n : sizes) bytes += n;
     EXPECT_EQ(bytes, Reference(engine, kPairQuery, format).size()) << format;
-    // The first row alone, one ~8 KB chunk, then the writer's ~64 KB chunks;
-    // the last chunk carries the rest with the footer.
+    // The first row alone, one ~8 KB chunk, then ~64 KB chunks; the last
+    // chunk carries the rest with the footer.
     EXPECT_EQ(sizes.size(), (bytes + 65535) / 65536 + 2)
         << format << ", " << bytes << " bytes";
     ASSERT_GE(sizes.size(), 4u) << format;
@@ -793,19 +824,32 @@ TEST(ServerSpill, SpilledResponseGoesOutIn64KBChunks) {
     EXPECT_LT(sizes[1], 65536u) << format;
     for (size_t i = 2; i + 1 < sizes.size(); ++i) EXPECT_GE(sizes[i], 65536u) << format;
   }
-  EXPECT_EQ(server.stats().responses_spilled, 2u);
   server.Stop();
+}
+
+TEST(ServerThreads, StartedServerRunsOneThreadPerWorkerPlusAcceptor) {
+  rdf::Dataset ds = TinyData();
+  GateSolver solver(ds.dict(), 1, /*gated=*/false);
+  QueryEngine engine(&solver);
+  ServerConfig config;
+  config.workers = 3;
+  SparqlServer server(&engine, config);
+  const size_t before = CountThreads();
+  ASSERT_GT(before, 0u);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(CountThreads() - before, 4u) << "3 workers and the acceptor";
+  server.Stop();
+  EXPECT_EQ(CountThreads(), before);
 }
 
 TEST(ServerThreads, NoThreadPerQuery) {
   rdf::Dataset ds = TinyData();
   struct Case {
     uint64_t rows, gate_after;
-    bool spills;
   };
   // A 1-row response held before its row, and a response held after 2000
-  // rows, past the switch to the worker's writer.
-  for (Case c : {Case{1, 0, false}, Case{5000, 2000, true}}) {
+  // rows, past the first full chunk.
+  for (Case c : {Case{1, 0}, Case{5000, 2000}}) {
     GateSolver solver(ds.dict(), c.rows, /*gated=*/true, c.gate_after);
     QueryEngine engine(&solver);
     ServerConfig config;
@@ -830,7 +874,6 @@ TEST(ServerThreads, NoThreadPerQuery) {
     ::close(fd);
     EXPECT_EQ(resp.status, 200);
     EXPECT_EQ(std::count(resp.body.begin(), resp.body.end(), '\n'), c.rows + 1);
-    EXPECT_EQ(server.stats().responses_spilled, c.spills ? 1u : 0u);
     server.Stop();
   }
 }
@@ -936,7 +979,7 @@ TEST(ServerLimits, RowBudgetStopCarriesInBodyMarkerAndTrailer) {
   QueryEngine engine(&solver);
   SparqlServer server(&engine, ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
-  // 100 rows stay inline; 5000 fill the first full chunk and spill.
+  // 100 rows fit in the first ~8 KB chunk; 5000 go on into 64 KB chunks.
   for (uint64_t budget : {100, 5000}) {
     HttpResponse resp;
     ASSERT_TRUE(HttpGet(server.port(),
@@ -951,7 +994,6 @@ TEST(ServerLimits, RowBudgetStopCarriesInBodyMarkerAndTrailer) {
     EXPECT_TRUE(resp.body.ends_with("\n# stopped: row budget\n")) << budget;
     EXPECT_EQ(resp.headers["x-stop-cause"], "row budget");  // chunked trailer
   }
-  EXPECT_EQ(server.stats().responses_spilled, 1u);
   server.Stop();
 }
 

@@ -1,14 +1,11 @@
-// Unit tests for util/: sorted-set kernels, RNG, parallel-for, channel.
+// Unit tests for util/: sorted-set kernels, RNG, parallel-for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <numeric>
-#include <thread>
 #include <vector>
 
-#include "util/channel.hpp"
 #include "util/rng.hpp"
 #include "util/sorted.hpp"
 #include "util/thread_pool.hpp"
@@ -176,142 +173,6 @@ TEST(ParallelFor, SequentialFallback) {
 
 TEST(ParallelFor, ZeroTotalIsNoop) {
   ParallelForDynamic(4, 0, 8, [&](uint64_t, uint64_t, uint32_t) { FAIL(); });
-}
-
-using IntChannel = Channel<int>;
-constexpr auto kNeverAbort = [] { return false; };
-
-TEST(Channel, FifoOrderWithinCapacity) {
-  IntChannel ch(4);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ch.Push(i, kNeverAbort), IntChannel::Op::kOk);
-  int v;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(ch.Pop(&v), IntChannel::Op::kOk);
-    EXPECT_EQ(v, i);
-  }
-}
-
-TEST(Channel, ZeroCapacityClampsToOne) {
-  IntChannel ch(0);
-  EXPECT_EQ(ch.Push(1, kNeverAbort), IntChannel::Op::kOk);
-  // Full at one item: a second push can only wait, and this one gives up.
-  EXPECT_EQ(ch.Push(2, [] { return true; }), IntChannel::Op::kAborted);
-}
-
-TEST(Channel, CloseProducerDrainsThenCloses) {
-  IntChannel ch(8);
-  ch.Push(1, kNeverAbort);
-  ch.Push(2, kNeverAbort);
-  ch.CloseProducer();
-  int v;
-  EXPECT_EQ(ch.Pop(&v), IntChannel::Op::kOk);
-  EXPECT_EQ(v, 1);
-  EXPECT_EQ(ch.Pop(&v), IntChannel::Op::kOk);
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(ch.Pop(&v), IntChannel::Op::kClosed);
-}
-
-TEST(Channel, BackpressureBoundsBuffering) {
-  // A fast producer against a slow consumer never gets more than capacity
-  // items ahead.
-  IntChannel ch(3);
-  constexpr int kTotal = 50;
-  std::atomic<int> pushed{0};
-  std::thread producer([&] {
-    for (int i = 0; i < kTotal; ++i) {
-      ASSERT_EQ(ch.Push(i, kNeverAbort), IntChannel::Op::kOk);
-      pushed.fetch_add(1);
-    }
-    ch.CloseProducer();
-  });
-  std::vector<int> got;
-  int v;
-  int max_ahead = 0;
-  while (ch.Pop(&v) == IntChannel::Op::kOk) {
-    got.push_back(v);
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    max_ahead = std::max(max_ahead, pushed.load() - static_cast<int>(got.size()));
-  }
-  producer.join();
-  ASSERT_EQ(got.size(), static_cast<size_t>(kTotal));
-  for (int i = 0; i < kTotal; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_LE(max_ahead, 3);
-}
-
-TEST(Channel, AbortWakesBlockedPush) {
-  IntChannel ch(1);
-  ASSERT_EQ(ch.Push(0, kNeverAbort), IntChannel::Op::kOk);
-  std::atomic<bool> abort{false};
-  std::thread trip([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    abort.store(true);
-  });
-  // Full channel, nobody popping: only the abort predicate can end this.
-  EXPECT_EQ(ch.Push(1, [&] { return abort.load(); }), IntChannel::Op::kAborted);
-  trip.join();
-  // The sliced wait is what the counter counts.
-  EXPECT_GE(ch.timed_wait_slices(), 1u);
-}
-
-TEST(Channel, CloseConsumerWakesAndRejectsProducers) {
-  IntChannel ch(1);
-  ASSERT_EQ(ch.Push(0, kNeverAbort), IntChannel::Op::kOk);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ch.CloseConsumer();
-  });
-  EXPECT_EQ(ch.Push(1, kNeverAbort), IntChannel::Op::kClosed);
-  closer.join();
-  // Further pushes fail immediately.
-  EXPECT_EQ(ch.Push(2, kNeverAbort), IntChannel::Op::kClosed);
-  EXPECT_EQ(ch.Push(3), IntChannel::Op::kClosed);
-}
-
-TEST(Channel, BlockingPopTakesNoTimedSlices) {
-  // Pop parks on the condvar, not in a polling loop: a consumer blocked for
-  // ~100ms takes zero timed wait slices.
-  IntChannel ch(1);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    ASSERT_EQ(ch.Push(42, kNeverAbort), IntChannel::Op::kOk);
-    ch.CloseProducer();
-  });
-  int v;
-  EXPECT_EQ(ch.Pop(&v), IntChannel::Op::kOk);
-  EXPECT_EQ(v, 42);
-  EXPECT_EQ(ch.Pop(&v), IntChannel::Op::kClosed);
-  producer.join();
-  EXPECT_EQ(ch.timed_wait_slices(), 0u);
-}
-
-TEST(Channel, AbortFreeBlockingPushTakesNoTimedSlices) {
-  IntChannel ch(1);
-  ASSERT_EQ(ch.Push(0), IntChannel::Op::kOk);
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    int v;
-    ASSERT_EQ(ch.Pop(&v), IntChannel::Op::kOk);
-    ASSERT_EQ(ch.Pop(&v), IntChannel::Op::kOk);
-  });
-  // Channel full: the untimed push blocks until the consumer drains, with
-  // no timed polling in between.
-  EXPECT_EQ(ch.Push(1), IntChannel::Op::kOk);
-  consumer.join();
-  EXPECT_EQ(ch.timed_wait_slices(), 0u);
-}
-
-TEST(Channel, CloseConsumerWakesUntimedPush) {
-  // A consumer that gives up must not depend on a polling probe:
-  // CloseConsumer alone has to wake a producer parked in the untimed Push.
-  IntChannel ch(1);
-  ASSERT_EQ(ch.Push(0), IntChannel::Op::kOk);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ch.CloseConsumer();
-  });
-  EXPECT_EQ(ch.Push(1), IntChannel::Op::kClosed);
-  closer.join();
-  EXPECT_EQ(ch.timed_wait_slices(), 0u);
 }
 
 }  // namespace
